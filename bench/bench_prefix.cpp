@@ -2,13 +2,18 @@
 // cache save per enumerator, as the unit count grows?
 //
 // For unit counts 6..9 the sweep replays the town app's universe (capped)
-// with Grouped-lexicographic, DFS and Random enumeration, once with the
-// prefix cache off (max_snapshot_depth = 0, the legacy full-reset engine)
-// and once with the default cache, and reports wall time, the
-// hardware-independent events-executed counter, and the snapshot-cache
+// with Grouped-lexicographic, Grouped-shuffled, DFS and Random enumeration,
+// once with the prefix cache off (max_snapshot_depth = 0, the legacy
+// full-reset engine) and once with the default cache, and reports wall time,
+// the hardware-independent events-executed counter, snapshots per explored
+// interleaving, the share of snapshots restored, and the snapshot-cache
 // high-water mark. Lexicographic orders visit adjacent permutations, so
-// Grouped-lex is where prefix sharing pays off most; Random establishes the
-// adversarial floor.
+// Grouped-lex is where prefix sharing pays off most; the randomized orders
+// promise no shared prefix, so the cache must stay empty there.
+//
+// Every row, in the sweep and in --smoke, passes a placement gate on
+// deterministic counts (not timings): randomized rows take no snapshot, and
+// Grouped-lex and DFS rows take at most 1.0 snapshot per interleaving.
 //
 // --smoke runs a tiny fixed workload instead and compares the *full* replay
 // report of the incremental engine against full-reset for every enumerator,
@@ -96,6 +101,34 @@ bool depth_zero_exact(const core::ReplayReport& report, size_t events_per_il,
   return false;
 }
 
+double snapshots_per_pair(const core::ReplayReport& report) {
+  return report.explored == 0 ? 0.0
+                              : static_cast<double>(report.prefix.snapshots_taken) /
+                                    static_cast<double>(report.explored);
+}
+
+double restore_hit_share(const core::ReplayReport& report) {
+  return report.prefix.snapshots_taken == 0
+             ? 0.0
+             : static_cast<double>(report.prefix.snapshots_restored) /
+                   static_cast<double>(report.prefix.snapshots_taken);
+}
+
+/// The placement gate (DESIGN.md §7): randomized orders promise no shared
+/// prefix, so their cache must never snapshot; tree-ordered sweeps snapshot
+/// only where a later interleaving resumes, at most once per interleaving.
+bool placement_ok(const char* kind, const core::ReplayReport& incremental, size_t units) {
+  const bool randomized =
+      std::strcmp(kind, "grouped-shuffled") == 0 || std::strcmp(kind, "random") == 0;
+  const double per_pair = snapshots_per_pair(incremental);
+  if (randomized ? incremental.prefix.snapshots_taken == 0 : per_pair <= 1.0) return true;
+  std::fprintf(stderr,
+               "bench_prefix: PLACEMENT for %s (%zu units): %" PRIu64
+               " snapshots over %" PRIu64 " interleavings (%.3f per pair)\n",
+               kind, units, incremental.prefix.snapshots_taken, incremental.explored, per_pair);
+  return false;
+}
+
 bool reports_match(const core::ReplayReport& incremental, const core::ReplayReport& full,
                    const char* label) {
   const bool same =
@@ -153,11 +186,12 @@ int run_smoke(uint64_t cap) {
     const auto incremental =
         run_engine(*inc_enum, events, assertions, cap, core::kDefaultMaxSnapshotDepth);
     ok &= depth_zero_exact(full, events.size(), kind);
+    ok &= placement_ok(kind, incremental, units.size());
     ok &= reports_match(incremental, full, kind);
     std::printf("  smoke %-16s explored %5" PRIu64 "  violations %4" PRIu64
-                "  executed %7" PRIu64 " -> %7" PRIu64 "  %s\n",
+                "  executed %7" PRIu64 " -> %7" PRIu64 "  snapshots/pair %.3f  %s\n",
                 kind, full.explored, full.violations, full.prefix.events_executed,
-                incremental.prefix.events_executed,
+                incremental.prefix.events_executed, snapshots_per_pair(incremental),
                 reports_match(incremental, full, kind) ? "ok" : "DIVERGED");
   }
   std::printf("bench_prefix --smoke: %s\n", ok ? "PASS" : "FAIL");
@@ -180,11 +214,12 @@ int main(int argc, char** argv) {
   std::printf("=== Incremental prefix replay sweep (cap %" PRIu64 " interleavings) ===\n\n", cap);
   util::Json rows = util::Json::array();
   bool ok = true;
+  bool placement_met = true;
   bool grouped_lex_target_met = true;
   for (size_t unit_count = 6; unit_count <= 9; ++unit_count) {
     const core::EventSet events = capture_reports(unit_count);
     const auto units = core::build_units(events, {});
-    for (const char* kind : {"grouped-lex", "dfs", "random"}) {
+    for (const char* kind : {"grouped-lex", "grouped-shuffled", "dfs", "random"}) {
       auto full_enum = make_enumerator(kind, units, events.size());
       const auto full = run_engine(*full_enum, events, {}, cap, 0);
       auto inc_enum = make_enumerator(kind, units, events.size());
@@ -192,6 +227,7 @@ int main(int argc, char** argv) {
           run_engine(*inc_enum, events, {}, cap, core::kDefaultMaxSnapshotDepth);
       ok &= depth_zero_exact(full, events.size(), kind);
       ok &= incremental.explored == full.explored;
+      placement_met &= placement_ok(kind, incremental, unit_count);
 
       const double reduction =
           full.prefix.events_executed == 0
@@ -203,10 +239,12 @@ int main(int argc, char** argv) {
       if (std::strcmp(kind, "grouped-lex") == 0 && unit_count >= 7 && reduction < 40.0) {
         grouped_lex_target_met = false;
       }
-      std::printf("  %zu units %-12s explored %6" PRIu64 "  executed %8" PRIu64
-                  " -> %8" PRIu64 "  (-%5.1f%%)  cache peak %6" PRIu64 " B  %6.3fs -> %6.3fs\n",
+      std::printf("  %zu units %-16s explored %6" PRIu64 "  executed %8" PRIu64
+                  " -> %8" PRIu64 "  (-%5.1f%%)  snapshots/pair %.3f  restored %5.1f%%"
+                  "  cache peak %6" PRIu64 " B  %6.3fs -> %6.3fs\n",
                   unit_count, kind, full.explored, full.prefix.events_executed,
                   incremental.prefix.events_executed, reduction,
+                  snapshots_per_pair(incremental), 100.0 * restore_hit_share(incremental),
                   incremental.prefix.cache_bytes_peak, full.elapsed_seconds,
                   incremental.elapsed_seconds);
 
@@ -229,6 +267,8 @@ int main(int argc, char** argv) {
           static_cast<int64_t>(incremental.prefix.cache_bytes_peak);
       row["incremental"] = std::move(inc_j);
       row["events_executed_reduction_pct"] = reduction;
+      row["snapshots_per_pair"] = snapshots_per_pair(incremental);
+      row["restore_hit_share"] = restore_hit_share(incremental);
       rows.push_back(std::move(row));
     }
   }
@@ -241,6 +281,7 @@ int main(int argc, char** argv) {
   doc["rows"] = std::move(rows);
   doc["depth_zero_exact"] = ok;
   doc["grouped_lex_reduction_target_met"] = grouped_lex_target_met;
+  doc["placement_met"] = placement_met;
 
   std::printf("\n%s\n", doc.dump().c_str());
   if (!out_path.empty()) {
@@ -253,10 +294,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (!ok || !grouped_lex_target_met) {
+  if (!ok || !placement_met || !grouped_lex_target_met) {
     std::fprintf(stderr, "bench_prefix: %s\n",
-                 !ok ? "depth-0 runs diverged from legacy counts"
-                     : "grouped-lex reduction target (>= 40%) missed");
+                 !ok              ? "depth-0 runs diverged from legacy counts"
+                 : !placement_met ? "snapshot placement gate failed"
+                                  : "grouped-lex reduction target (>= 40%) missed");
     return 1;
   }
   return 0;

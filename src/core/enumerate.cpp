@@ -75,6 +75,14 @@ void split_range(const std::vector<Interleaving>& items, size_t begin, size_t en
 
 }  // namespace
 
+std::vector<bool> checkpoint_boundaries(const Enumerator& enumerator, const EventSet& events) {
+  std::vector<bool> boundaries(events.size());
+  for (size_t id = 0; id < events.size(); ++id) {
+    boundaries[id] = enumerator.checkpoint_after(static_cast<int>(id));
+  }
+  return boundaries;
+}
+
 std::vector<SubtreeSpan> split_tree_order(const std::vector<Interleaving>& items,
                                           size_t max_items) {
   std::vector<SubtreeSpan> out;
@@ -156,6 +164,14 @@ bool GroupedEnumerator::attach_prefix_oracle(OracleChain* chain) {
     prev_unit_order_.clear();
   }
   return true;
+}
+
+bool GroupedEnumerator::checkpoint_after(int event_id) const {
+  if (emit_order_ != Order::Lexicographic) return false;
+  for (const auto& unit : units_) {
+    if (unit.events.back() == event_id) return true;
+  }
+  return false;
 }
 
 uint64_t GroupedEnumerator::universe_size() const {

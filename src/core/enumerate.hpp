@@ -50,6 +50,14 @@ class Enumerator {
   /// nullopt.
   virtual std::optional<size_t> last_common_prefix() const { return std::nullopt; }
 
+  /// Prefix-cache placement (DESIGN.md §7): true when a later interleaving
+  /// of this stream can diverge from an earlier one right after `event_id`,
+  /// so a snapshot taken there may be restored. Answered per event id and
+  /// fixed for the enumerator's lifetime. The default — every event — is
+  /// right for any order; unit-contiguous orders narrow it to unit ends and
+  /// randomized orders, which promise no shared prefix, answer false.
+  virtual bool checkpoint_after(int /*event_id*/) const { return true; }
+
   /// Generation-time subtree pruning (DESIGN.md §10): enumerators whose
   /// emission order is a deterministic tree walk describe that tree here so
   /// PrunedEnumerator can build a matching oracle chain. nullopt = no
@@ -98,6 +106,10 @@ std::vector<SubtreeSpan> split_tree_order(const std::vector<Interleaving>& items
 /// every dedup cache (Random, Grouped-shuffled, PruningPipeline) so their
 /// cache_bytes() formulas stay consistent with each other.
 inline constexpr uint64_t kDedupEntryOverheadBytes = 48;
+
+/// The enumerator's checkpoint_after answers for every event of `events`,
+/// indexed by event id — what the replay run loops hand their prefix caches.
+std::vector<bool> checkpoint_boundaries(const Enumerator& enumerator, const EventSet& events);
 
 /// Narrowest per-id byte width able to represent every id in [0, max_id].
 inline int packed_key_width(uint64_t max_id) noexcept {
@@ -148,6 +160,9 @@ class GroupedEnumerator : public Enumerator {
   uint64_t universe_size() const override;
   void reset() override;
   std::optional<size_t> last_common_prefix() const override { return last_common_prefix_; }
+  /// Lexicographic: the last event of each unit (units run contiguously, so
+  /// a later permutation can only diverge at a unit end). Shuffled: none.
+  bool checkpoint_after(int event_id) const override;
 
   /// Lexicographic mode is a deterministic tree walk over unit indices.
   std::optional<OracleDomain> prefix_domain() const override;
@@ -185,7 +200,9 @@ class GroupedEnumerator : public Enumerator {
   std::vector<size_t> prev_unit_order_;  // previous emission, for hints
 };
 
-/// Explicit DFS over the permutation tree of raw event ids.
+/// Explicit DFS over the permutation tree of raw event ids. Consecutive
+/// leaves can diverge at any depth, so it keeps the default placement of a
+/// checkpoint after every event.
 class DfsEnumerator : public Enumerator {
  public:
   /// `branch_seed` shuffles the (otherwise arbitrary) order in which the
@@ -229,6 +246,8 @@ class RandomEnumerator : public Enumerator {
   std::optional<Interleaving> next() override;
   uint64_t universe_size() const override;
   void reset() override;
+  /// Shuffles share no guaranteed prefix: never checkpoint.
+  bool checkpoint_after(int /*event_id*/) const override { return false; }
 
   /// Total shuffle attempts, including rejected duplicates — the source of
   /// Rand's time blow-up in Fig. 8b.

@@ -20,6 +20,13 @@ void PrefixCache::drop_entry_bytes(const Entry& entry) noexcept {
   bytes_.fetch_sub(entry.snap.bytes, std::memory_order_relaxed);
 }
 
+void PrefixCache::set_boundaries(std::vector<bool> boundaries) {
+  clear();
+  inert_ = !boundaries.empty() &&
+           std::count(boundaries.begin(), boundaries.end(), true) < 2;
+  boundaries_ = std::move(boundaries);
+}
+
 void PrefixCache::clear() {
   for (const auto& entry : entries_) drop_entry_bytes(entry);
   entries_.clear();
@@ -31,7 +38,18 @@ void PrefixCache::clear() {
 size_t PrefixCache::begin_replay(proxy::Rdl& subject, const Interleaving& il,
                                  std::optional<size_t> hint,
                                  std::vector<util::Result<util::Json>>& results) {
-  if (disabled_ || entries_.empty()) return 0;
+  if (disabled_ || inert_) return 0;
+  // Deepest useful snapshot for `il`: its (k-2)-th boundary — the third from
+  // the end — since two distinct interleavings share at most k-2 of their k
+  // boundaries. With a boundary after every event this is depth n-2.
+  snapshot_limit_ = 0;
+  for (size_t pos = il.size(), after = 0; pos-- > 0;) {
+    if (is_boundary(il.order[pos]) && ++after == 3) {
+      snapshot_limit_ = pos + 1;
+      break;
+    }
+  }
+  if (entries_.empty()) return 0;
   // How deep the shared prefix with the previous interleaving reaches. The
   // enumerator hint is a lower bound, so trusting it is safe; without one,
   // compare the orders directly (O(n), negligible next to replay cost).
@@ -63,11 +81,9 @@ size_t PrefixCache::begin_replay(proxy::Rdl& subject, const Interleaving& il,
 }
 
 void PrefixCache::note_executed(proxy::Rdl& subject, const Interleaving& il, size_t pos) {
-  if (disabled_) return;
+  if (disabled_ || inert_) return;
   const size_t depth = pos + 1;
-  // Two distinct permutations of the same events always diverge before
-  // position n-1, so snapshots at depth n-1 or n can never be restored.
-  if (depth + 2 > il.size()) return;
+  if (depth > snapshot_limit_ || !is_boundary(il.order[pos])) return;
 
   proxy::Snapshot snap;
   try {
@@ -104,7 +120,7 @@ void PrefixCache::note_executed(proxy::Rdl& subject, const Interleaving& il, siz
 
 void PrefixCache::end_replay(const Interleaving& il,
                              const std::vector<util::Result<util::Json>>& results) {
-  if (disabled_) return;
+  if (disabled_ || inert_) return;
   prev_ = il;
   prev_results_ = results;
 }

@@ -5,12 +5,21 @@
 // so consecutive orders typically agree on the first n-2 units. Re-executing
 // that shared prefix from a full reset dominates replay cost. The PrefixCache
 // removes it: while an interleaving executes, the engine checkpoints the
-// subject (replica state + simulated network) after each event; on the next
-// interleaving it restores the deepest checkpoint inside the shared prefix
-// and re-executes only the divergent suffix.
+// subject (replica state + simulated network) after events where a later
+// interleaving can diverge; on the next interleaving it restores the deepest
+// checkpoint inside the shared prefix and re-executes only the divergent
+// suffix.
+//
+// Placement: the enumerator names the *boundary* events a later interleaving
+// of its stream can diverge after (Enumerator::checkpoint_after) — unit ends
+// for Grouped-lex, every event for DFS, none for randomized orders. With k
+// boundaries in an interleaving, two distinct interleavings share at most
+// k-2 of them, so the cache snapshots only after the first k-2 boundaries: a
+// starting point is kept only where replay can actually resume from it.
 //
 // Invariant: every cached entry is a snapshot taken at some depth d of the
-// *most recently replayed* interleaving (`prev_`), so for any entry with
+// *most recently replayed* interleaving (`prev_`) — any subset of depths
+// keeps it — so for any entry with
 // depth d <= common_prefix_len(prev_, next), restoring it reproduces exactly
 // the state `next` would reach after executing its first d events — and
 // `prev_results_[0..d)` are the results those events produced.
@@ -32,6 +41,12 @@
 #include "util/result.hpp"
 
 namespace erpi::core {
+
+/// Names the rule that decides where the cache snapshots. Retained snapshot
+/// bytes feed the Fig. 10 budget trajectory, so a run journal pins the rule
+/// (faults::run_fingerprint): a journal written under another placement must
+/// not be resumed under this one. Change the tag whenever the rule changes.
+inline constexpr const char* kCheckpointPlacement = "boundaries-k-2";
 
 /// Counters for the incremental-replay fast path. Owned by the replay engine
 /// (one per parallel worker); merged into the run report when workers join.
@@ -73,6 +88,12 @@ class PrefixCache {
   PrefixCache(size_t max_entries, PrefixReplayStats* stats)
       : max_entries_(max_entries), stats_(stats) {}
 
+  /// Snapshot placement, indexed by event id: true after events a later
+  /// interleaving can diverge after (checkpoint_boundaries()). Empty = every
+  /// event. Fewer than two boundaries leave nothing restorable, so the cache
+  /// stays empty and replay always full-resets. Drops cached state.
+  void set_boundaries(std::vector<bool> boundaries);
+
   /// Prepare to replay `il`. Restores the deepest cached snapshot whose depth
   /// fits inside the prefix shared with the previous interleaving (`hint` is
   /// an optional lower bound on that prefix from the enumerator; without it
@@ -84,9 +105,10 @@ class PrefixCache {
                       std::vector<util::Result<util::Json>>& results);
 
   /// Record that `il`'s event at position `pos` has executed: snapshot the
-  /// subject at depth pos+1 unless that depth is too close to the tail to
-  /// ever be restored (distinct permutations diverge before position n-1).
-  /// A subject that reports snapshots unsupported disables the cache.
+  /// subject at depth pos+1 when that event is one of `il`'s first k-2
+  /// boundaries (deeper ones can never be restored). `il` must be the
+  /// interleaving passed to the last begin_replay. A subject that reports
+  /// snapshots unsupported disables the cache.
   void note_executed(proxy::Rdl& subject, const Interleaving& il, size_t pos);
 
   /// Finish replaying `il`: it becomes the prefix baseline for the next call.
@@ -108,9 +130,16 @@ class PrefixCache {
   };
 
   void drop_entry_bytes(const Entry& entry) noexcept;
+  bool is_boundary(int event_id) const noexcept {
+    const auto id = static_cast<size_t>(event_id);
+    return boundaries_.empty() || (id < boundaries_.size() && boundaries_[id]);
+  }
 
   size_t max_entries_;
   PrefixReplayStats* stats_;
+  std::vector<bool> boundaries_;  // by event id; empty = every event
+  bool inert_ = false;            // < 2 boundaries: never snapshot
+  size_t snapshot_limit_ = 0;     // deepest snapshot depth for the current il
   std::vector<Entry> entries_;  // ascending depth
   Interleaving prev_;
   std::vector<util::Result<util::Json>> prev_results_;

@@ -248,6 +248,10 @@ class PrunedEnumerator : public Enumerator {
   uint64_t universe_size() const override { return inner_->universe_size(); }
   void reset() override;
   std::optional<size_t> last_common_prefix() const override { return last_common_prefix_; }
+  /// Pruning only drops interleavings, so the inner placement still holds.
+  bool checkpoint_after(int event_id) const override {
+    return inner_->checkpoint_after(event_id);
+  }
 
   PruningPipeline& pipeline() noexcept { return pipeline_; }
   Enumerator& inner() noexcept { return *inner_; }

@@ -138,6 +138,7 @@ ReplayEngine::ReplayEngine(proxy::RdlProxy& proxy, ReplayOptions options)
   }
   if (options_.max_snapshot_depth > 0) {
     cache_ = std::make_unique<PrefixCache>(options_.max_snapshot_depth, &prefix_stats_);
+    cache_->set_boundaries(options_.checkpoint_boundaries);
   }
   if (options_.observer_factory) observer_ = options_.observer_factory(proxy.target());
   if (options_.footprint_learner != nullptr) {
@@ -297,6 +298,7 @@ ReplayReport ReplayEngine::run(Enumerator& enumerator, const EventSet& events,
   BudgetAccount* budget = options_.budget != nullptr ? options_.budget : &local_budget;
 
   reset_prefix_state();
+  if (cache_) cache_->set_boundaries(checkpoint_boundaries(enumerator, events));
   for (const auto& assertion : assertions) assertion->on_run_start();
 
   while (report.explored < options_.max_interleavings) {

@@ -337,6 +337,11 @@ struct ReplayOptions {
   /// interleaving resets and re-executes from scratch, byte-identical to the
   /// pre-snapshot engine.
   size_t max_snapshot_depth = kDefaultMaxSnapshotDepth;
+  /// Where the prefix cache may snapshot, indexed by event id (see
+  /// PrefixCache::set_boundaries); empty = after every event. ReplayEngine::run
+  /// and sched::ParallelExplorer::run fill it from their enumerator, so set
+  /// it only when driving replay_one directly.
+  std::vector<bool> checkpoint_boundaries;
   /// Execute through per-replica worker threads + distributed lock.
   bool threaded = false;
   /// KV server hosting the distributed lock (required when threaded).

@@ -42,10 +42,14 @@ uint64_t run_fingerprint(const core::Session& session,
   hasher.u64(config.dfs_branch_seed);
   hasher.u64(replay.max_interleavings);
   hasher.u64(replay.stop_on_violation ? 1 : 0);
-  // Snapshot depth shapes the budget trajectory a resumed run must recreate,
-  // but not replay outcomes — the corpus namespace drops it so sweeps at
-  // different depths share proven classes.
-  if (purpose == FingerprintPurpose::Journal) hasher.u64(replay.max_snapshot_depth);
+  // Snapshot depth and placement shape the budget trajectory a resumed run
+  // must recreate, but not replay outcomes — the corpus namespace drops them
+  // so sweeps at different depths share proven classes. Placement only
+  // matters with the cache on, so depth-0 journals stay resumable.
+  if (purpose == FingerprintPurpose::Journal) {
+    hasher.u64(replay.max_snapshot_depth);
+    if (replay.max_snapshot_depth > 0) hasher.bytes(core::kCheckpointPlacement);
+  }
   hasher.u64(replay.threaded ? 1 : 0);
   for (const auto& event : session.events()) hasher.bytes(event.to_json().dump());
   for (const auto& unit : session.units()) {

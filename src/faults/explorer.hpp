@@ -38,9 +38,11 @@ namespace erpi::faults {
 /// shapes the (interleaving, plan) stream and its outcomes — events, units,
 /// enumerator configuration, caps, catalog options — and neither hashes
 /// parallelism or the watchdog deadline. They differ on snapshot depth:
-///   Journal — includes max_snapshot_depth (a resumed run must recreate the
-///             exact budget trajectory, which snapshot caches feed into).
-///   Corpus  — excludes it: replay outcomes are depth-independent, so a
+///   Journal — includes max_snapshot_depth and, with the cache on, the
+///             placement rule core::kCheckpointPlacement (a resumed run must
+///             recreate the exact budget trajectory, which snapshot caches
+///             feed into).
+///   Corpus  — excludes both: replay outcomes are depth-independent, so a
 ///             depth-0 sweep may reuse classes proven by a depth-16 sweep.
 enum class FingerprintPurpose { Journal, Corpus };
 

@@ -147,19 +147,23 @@ core::ReplayReport ParallelExplorer::run(core::Enumerator& enumerator,
   // Process isolation, so every fork happens while this process is still
   // single-threaded (see src/sandbox/supervisor.hpp).
   const bool sandboxed = options_.replay.isolation == core::Isolation::Process;
+  // Every worker's prefix cache (sandbox children included) snapshots only
+  // where this run's enumerator says a later interleaving can diverge.
+  core::ReplayOptions worker_replay = options_.replay;
+  worker_replay.checkpoint_boundaries = core::checkpoint_boundaries(enumerator, events);
   std::vector<std::unique_ptr<WorkerContext>> contexts;
   std::vector<std::unique_ptr<sandbox::ForkServer>> sandboxes;
   if (sandboxed) {
     sandboxes.reserve(static_cast<size_t>(workers));
     for (int w = 0; w < workers; ++w) {
       sandboxes.push_back(std::make_unique<sandbox::ForkServer>(
-          options_.subject_factory, options_.assertion_factory, options_.replay, events));
+          options_.subject_factory, options_.assertion_factory, worker_replay, events));
     }
   } else {
     contexts.reserve(static_cast<size_t>(workers));
     for (int w = 0; w < workers; ++w) {
       contexts.push_back(std::make_unique<WorkerContext>(
-          options_.subject_factory, options_.assertion_factory, options_.replay, budget));
+          options_.subject_factory, options_.assertion_factory, worker_replay, budget));
     }
   }
 

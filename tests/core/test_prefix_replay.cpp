@@ -7,9 +7,11 @@
 // snapshot-depth settings. These tests pin that contract, plus the resource
 // accounting: retained snapshot bytes charge the Fig. 10 budget, depth 0
 // reproduces the legacy engine's execution counts exactly, and the depth
-// budget evicts.
+// budget evicts — and the placement: snapshots only where the enumerator
+// says a later interleaving can resume, none at all under randomized orders.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -42,7 +44,24 @@ struct Scenario {
   /// violation messages are not comparable across runs (independent of the
   /// prefix cache). Only scheduling-invariant report fields are compared then.
   bool stateful_assertions = false;
+  /// True when the scenario's order is unit-contiguous lexicographic, so the
+  /// cache must snapshot and restore (exercising the subject's
+  /// clone_replicas/adopt_replicas hooks). Randomized orders never snapshot.
+  bool lexicographic = false;
 };
+
+/// `sc` under a Grouped-lexicographic order: the variant that keeps the
+/// subject's snapshot hooks under the equivalence check.
+Scenario lexicographic_variant(Scenario sc) {
+  sc.name += "-lex";
+  auto base_configure = sc.configure;
+  sc.configure = [base_configure](Session::Config& config) {
+    if (base_configure) base_configure(config);
+    config.generation_order = GroupedEnumerator::Order::Lexicographic;
+  };
+  sc.lexicographic = true;
+  return sc;
+}
 
 Scenario town_scenario() {
   Scenario sc;
@@ -71,6 +90,7 @@ Scenario town_scenario() {
     config.generation_order = GroupedEnumerator::Order::Lexicographic;
     config.spec_groups = {{0, 1, 2}, {3, 4, 5}};
   };
+  sc.lexicographic = true;
   return sc;
 }
 
@@ -94,9 +114,12 @@ Scenario collection_scenario() {
 }
 
 std::vector<Scenario> all_scenarios() {
-  std::vector<Scenario> scenarios{town_scenario(), collection_scenario()};
+  std::vector<Scenario> scenarios{town_scenario(), collection_scenario(),
+                                  lexicographic_variant(collection_scenario())};
   // One registry bug per remaining subject: real workloads, real pruning
-  // config (so the PrunedEnumerator hint path is exercised too).
+  // config (so the PrunedEnumerator hint path is exercised too), under the
+  // bug's default shuffled order and under a lexicographic one — only the
+  // latter takes snapshots.
   // Roshi-1/ReplicaDB-1 use stateless per-interleaving custom assertions;
   // OrbitDB-1/Yorkie-1 include consistent_across_interleavings_if_same_witness.
   for (const auto& [name, stateful] :
@@ -113,7 +136,8 @@ std::vector<Scenario> all_scenarios() {
     sc.assertions = [make_assertions](proxy::Rdl&) { return make_assertions(); };
     sc.configure = bug.configure;
     sc.stateful_assertions = stateful;
-    scenarios.push_back(std::move(sc));
+    scenarios.push_back(sc);
+    scenarios.push_back(lexicographic_variant(std::move(sc)));
   }
   return scenarios;
 }
@@ -191,6 +215,11 @@ TEST_P(PrefixEquivalence, IncrementalReplayIsReportIdenticalToFullReset) {
         expect_invariant_fields_equal(incremental.report, baseline.report, label);
       } else {
         expect_reports_equal(incremental.report, baseline.report, label);
+      }
+      if (sc.lexicographic) {
+        EXPECT_GT(incremental.report.prefix.snapshots_restored, 0u) << label;
+      } else {
+        EXPECT_EQ(incremental.report.prefix.snapshots_taken, 0u) << label;
       }
     }
   }
@@ -277,7 +306,8 @@ TEST(PrefixReplay, LexicographicSweepSkipsMostPrefixWork) {
 TEST(PrefixReplay, DepthBudgetEvicts) {
   const Scenario sc = town_scenario();
   const RunOutput out = run_scenario(sc, 2, 1);
-  // Each 11-event replay takes up to 9 snapshots but only 2 may stay.
+  // Each replay of the 6 units takes up to k-2 = 4 snapshots but only 2 may
+  // stay.
   EXPECT_GT(out.report.prefix.snapshots_evicted, 0u);
   EXPECT_GT(out.report.prefix.snapshots_restored, 0u);
 }
@@ -384,6 +414,164 @@ TEST(PrefixReplay, SnapshotBadAllocFallsBackToFullResetAndLatchesCounter) {
   expect_reports_equal(degraded.report, baseline.report, "degrading");
   EXPECT_GT(degraded.report.prefix.snapshot_alloc_failures, 0u);
   EXPECT_GT(degraded.report.prefix.snapshots_taken, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Placement: snapshot only where a later interleaving can resume
+// ---------------------------------------------------------------------------
+
+/// Town scenario under another exploration mode or order (cap 300, no stop).
+Scenario town_with(ExplorationMode mode, GroupedEnumerator::Order order) {
+  Scenario sc = town_scenario();
+  sc.name = std::string(exploration_mode_name(mode)) +
+            (order == GroupedEnumerator::Order::Lexicographic ? "-lex" : "-shuffled");
+  auto base_configure = sc.configure;
+  sc.configure = [base_configure, mode, order](Session::Config& config) {
+    base_configure(config);
+    config.mode = mode;
+    config.generation_order = order;
+  };
+  sc.lexicographic = mode == ExplorationMode::Dfs ||
+                     (mode == ExplorationMode::ErPi &&
+                      order == GroupedEnumerator::Order::Lexicographic);
+  return sc;
+}
+
+/// The report as JSON without its wall-clock field.
+std::string report_without_timing(const ReplayReport& report) {
+  util::Json j = report.to_json();
+  j.as_object().erase("elapsed_seconds");
+  return j.dump();
+}
+
+/// Snapshots a run of `sc` must take at unbounded depth on one worker, from
+/// the boundary rule alone: each interleaving resumes at the deepest of the
+/// previous one's first k-2 boundaries inside the enumerator's prefix hint
+/// and snapshots its remaining boundaries up to the (k-2)-th.
+uint64_t expected_snapshots(const Scenario& sc) {
+  auto subject = sc.make_subject();
+  proxy::RdlProxy proxy(*subject);
+  Session::Config config;
+  sc.configure(config);
+  config.replay.max_interleavings = 300;
+  Session session(proxy, std::move(config));
+  session.start();
+  sc.workload(proxy);
+  session.finish_capture();
+  auto enumerator = session.make_enumerator();
+  const std::vector<bool> boundaries = checkpoint_boundaries(*enumerator, session.events());
+  const auto k = static_cast<uint64_t>(std::count(boundaries.begin(), boundaries.end(), true));
+  uint64_t total = 0;
+  for (uint64_t i = 0; i < 300; ++i) {
+    const auto il = enumerator->next();
+    if (!il) break;
+    const size_t hint = enumerator->last_common_prefix().value_or(0);
+    uint64_t shared = 0;  // boundaries inside the hinted prefix
+    for (size_t pos = 0; pos < hint; ++pos) shared += boundaries[il->order[pos]] ? 1 : 0;
+    total += k - 2 - std::min(shared, k - 2);
+  }
+  return total;
+}
+
+TEST(PrefixPlacement, RandomizedOrdersNeverSnapshot) {
+  for (const auto& sc : {town_with(ExplorationMode::ErPi, GroupedEnumerator::Order::Shuffled),
+                         town_with(ExplorationMode::Rand, GroupedEnumerator::Order::Shuffled)}) {
+    for (const int parallelism : {1, 4}) {
+      const std::string label = sc.name + " p=" + std::to_string(parallelism);
+      const RunOutput full = run_scenario(sc, 0, parallelism);
+      const RunOutput cached = run_scenario(sc, SIZE_MAX, parallelism);
+      ASSERT_GT(full.report.explored, 0u) << label;
+      EXPECT_EQ(cached.report.prefix.snapshots_taken, 0u) << label;
+      EXPECT_EQ(cached.report.prefix.cache_bytes_peak, 0u) << label;
+      // The cache never built anything, so the whole report — prefix
+      // counters included — is the depth-0 report.
+      EXPECT_EQ(report_without_timing(cached.report), report_without_timing(full.report))
+          << label;
+    }
+  }
+}
+
+TEST(PrefixPlacement, GroupedLexSnapshotsOnlyAtUnitEnds) {
+  // Drive the cache the way ReplayEngine does, watching the snapshot counter
+  // after every executed event to learn each snapshot's depth.
+  const Scenario sc = town_scenario();
+  auto subject = sc.make_subject();
+  proxy::RdlProxy proxy(*subject);
+  proxy.start_capture();
+  sc.workload(proxy);
+  const EventSet events = proxy.end_capture();
+  const auto units = build_units(events, {{0, 1, 2}, {3, 4, 5}});
+  const size_t k = units.size();
+  ASSERT_EQ(k, 6u);  // two spec groups, the resolve's sync pair, three singletons
+  GroupedEnumerator enumerator(units, GroupedEnumerator::Order::Lexicographic);
+
+  PrefixReplayStats stats;
+  PrefixCache cache(SIZE_MAX, &stats);
+  cache.set_boundaries(checkpoint_boundaries(enumerator, events));
+  uint64_t replays = 0;
+  while (auto il = enumerator.next()) {
+    if (++replays > 300) break;
+    std::vector<util::Result<util::Json>> results;
+    const size_t start =
+        cache.begin_replay(*subject, *il, enumerator.last_common_prefix(), results);
+    if (start == 0) {
+      subject->reset();
+      results.clear();
+    }
+    // Unit ends of this interleaving, by depth.
+    std::vector<size_t> unit_ends;
+    for (size_t pos = 0; pos < il->size(); ++pos) {
+      for (const auto& unit : units) {
+        if (unit.events.back() == il->order[pos]) unit_ends.push_back(pos + 1);
+      }
+    }
+    ASSERT_EQ(unit_ends.size(), k);
+    uint64_t taken = 0;
+    for (size_t pos = start; pos < il->size(); ++pos) {
+      results.emplace_back(proxy.invoke(events.at(static_cast<size_t>(il->order[pos]))));
+      const uint64_t before = stats.snapshots_taken;
+      cache.note_executed(*subject, *il, pos);
+      if (stats.snapshots_taken == before) continue;
+      ++taken;
+      const size_t depth = pos + 1;
+      const auto it = std::find(unit_ends.begin(), unit_ends.end(), depth);
+      ASSERT_NE(it, unit_ends.end()) << "snapshot at depth " << depth << " inside a unit of "
+                                     << il->key();
+      EXPECT_LT(static_cast<size_t>(it - unit_ends.begin()), k - 2)
+          << "snapshot after the last two units of " << il->key();
+    }
+    EXPECT_LE(taken, k - 2) << il->key();
+    cache.end_replay(*il, results);
+  }
+  EXPECT_GT(stats.snapshots_taken, 0u);
+  EXPECT_GT(stats.snapshots_restored, 0u);
+}
+
+TEST(PrefixPlacement, SnapshotCountsFollowTheBoundaryRule) {
+  // Counts of the same two runs when the cache snapshotted after every event
+  // up to depth n-2, before placement followed the enumerator.
+  constexpr uint64_t kPerEventDfsSnapshots = 221;
+  constexpr uint64_t kPerEventLexSnapshots = 735;
+  constexpr uint64_t kPerEventLexEventsSkipped = 1965;
+
+  const Scenario lex = town_with(ExplorationMode::ErPi, GroupedEnumerator::Order::Lexicographic);
+  const Scenario dfs = town_with(ExplorationMode::Dfs, GroupedEnumerator::Order::Lexicographic);
+  const RunOutput lex_run = run_scenario(lex, SIZE_MAX, 1);
+  const RunOutput dfs_run = run_scenario(dfs, SIZE_MAX, 1);
+  for (const auto& [sc, out] : {std::pair{&lex, &lex_run}, std::pair{&dfs, &dfs_run}}) {
+    ASSERT_EQ(out->report.explored, 300u) << sc->name;
+    EXPECT_EQ(out->report.prefix.snapshots_taken, expected_snapshots(*sc)) << sc->name;
+  }
+  // DFS checkpoints after every event, as before.
+  EXPECT_EQ(dfs_run.report.prefix.snapshots_taken, kPerEventDfsSnapshots);
+  // Grouped-lex drops only the snapshots no replay resumed from: far fewer
+  // taken, the same events skipped.
+  EXPECT_LT(lex_run.report.prefix.snapshots_taken * 2, kPerEventLexSnapshots);
+  EXPECT_EQ(lex_run.report.prefix.events_skipped, kPerEventLexEventsSkipped);
+  // Per-worker caches obey the same per-replay bound: at most k-2 = 4.
+  const RunOutput parallel = run_scenario(lex, SIZE_MAX, 4);
+  EXPECT_LE(parallel.report.prefix.snapshots_taken, parallel.report.explored * 4);
+  EXPECT_GT(parallel.report.prefix.snapshots_restored, 0u);
 }
 
 }  // namespace

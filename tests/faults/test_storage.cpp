@@ -261,6 +261,40 @@ TEST(StorageFaults, FingerprintHashesStorageCatalogOptions) {
   }
 }
 
+TEST(StorageFaults, JournalFingerprintPinsCheckpointPlacement) {
+  // Where the prefix cache snapshots shapes the budget trajectory a resumed
+  // run must recreate, so the journal fingerprint pins the placement rule
+  // (core::kCheckpointPlacement) whenever the cache is on; replay outcomes
+  // do not depend on it, so the corpus fingerprint does not. The constants
+  // are this configuration's fingerprints from before placement was pinned,
+  // when the cache snapshotted after every event. Any deliberate change to
+  // what the fingerprints hash moves them too; re-derive them then.
+  constexpr uint64_t kPerEventJournalDepth0 = 0x2353b41ca35d1c28ull;
+  constexpr uint64_t kPerEventJournalDepth16 = 0x4253db07f43c9f98ull;
+  constexpr uint64_t kPerEventCorpus = 0x8b79b02ec92a7328ull;
+
+  subjects::Roshi roshi(2);
+  proxy::RdlProxy proxy(roshi);
+  Session session(proxy, storage_config(1, 16));
+  session.start();
+  storage_workload(proxy);
+  session.finish_capture();
+  const auto plans = build_catalog(session.events(), 2, CatalogOptions{});
+  auto fingerprint = [&](size_t depth, FingerprintPurpose purpose) {
+    core::ReplayOptions replay;
+    replay.max_snapshot_depth = depth;
+    return run_fingerprint(session, plans, CatalogOptions{}, replay, purpose);
+  };
+
+  // A journal written under per-event checkpoints is not resumed ...
+  EXPECT_NE(fingerprint(16, FingerprintPurpose::Journal), kPerEventJournalDepth16);
+  // ... unless the cache was off, where placement never mattered.
+  EXPECT_EQ(fingerprint(0, FingerprintPurpose::Journal), kPerEventJournalDepth0);
+  // Corpus records proven under either placement stay reusable at any depth.
+  EXPECT_EQ(fingerprint(16, FingerprintPurpose::Corpus), kPerEventCorpus);
+  EXPECT_EQ(fingerprint(0, FingerprintPurpose::Corpus), kPerEventCorpus);
+}
+
 // ---------------------------------------------------------------------------
 // Determinism: byte-identical reports at any parallelism × snapshot depth
 // ---------------------------------------------------------------------------
