@@ -1,8 +1,9 @@
 // Parallel exploration scaling sweep: replays a fixed pruned universe
-// (7 units -> 5040 interleavings of the town app) with the sequential
-// ReplayEngine, then with sched::ParallelExplorer at increasing worker
-// counts, and emits a BENCH_*.json-style document with interleavings/sec
-// and speedup vs the sequential engine. The sweep also cross-checks the
+// (7 units -> 5040 interleavings of the town app) with sched::ParallelExplorer
+// — first the "sequential" row, one inline worker over a borrowed fixture
+// (what Session::end runs), then factory-built pools at increasing worker
+// counts — and emits a BENCH_*.json-style document with interleavings/sec
+// and speedup vs the sequential row. The sweep also cross-checks the
 // determinism guarantee: every run must report identical explored /
 // violations counts.
 //
@@ -69,12 +70,13 @@ RunResult run_sequential(const core::EventSet& events, const std::vector<core::E
                          uint64_t cap) {
   subjects::TownApp town(2);
   proxy::RdlProxy proxy(town);
-  core::ReplayOptions options;
-  options.stop_on_violation = false;
-  options.max_interleavings = cap;
-  core::ReplayEngine engine(proxy, options);
+  sched::ExplorerOptions options;
+  options.parallelism = 1;
+  options.replay.stop_on_violation = false;
+  options.replay.max_interleavings = cap;
+  sched::ParallelExplorer explorer(std::move(options));
   core::GroupedEnumerator enumerator(units);
-  const auto report = engine.run(enumerator, events, make_assertions());
+  const auto report = explorer.run(enumerator, events, proxy, make_assertions());
   return {report.explored, report.violations, report.elapsed_seconds};
 }
 
@@ -133,7 +135,7 @@ int main(int argc, char** argv) {
 
   const RunResult sequential = run_sequential(events, units, cap);
   const double seq_rate = static_cast<double>(sequential.explored) / sequential.seconds;
-  std::printf("  sequential engine: %8" PRIu64 " interleavings in %7.3fs  (%8.0f il/s)\n",
+  std::printf("  sequential (inline): %6" PRIu64 " interleavings in %7.3fs  (%8.0f il/s)\n",
               sequential.explored, sequential.seconds, seq_rate);
 
   util::Json doc = util::Json::object();

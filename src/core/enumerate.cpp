@@ -106,7 +106,6 @@ void GroupedEnumerator::reset() {
   std::iota(order_.begin(), order_.end(), size_t{0});
   rng_.reseed(seed_);
   seen_.clear();
-  last_common_prefix_.reset();
   key_width_ = packed_key_width(units_.empty() ? 0 : units_.size() - 1);
   exhausted_ = units_.empty();
   first_ = true;
@@ -115,7 +114,6 @@ void GroupedEnumerator::reset() {
   walk_stack_.assign(1, 0);
   walk_path_.clear();
   walk_used_.assign(units_.size(), false);
-  prev_unit_order_.clear();
 }
 
 uint64_t GroupedEnumerator::cache_bytes() const noexcept {
@@ -161,7 +159,6 @@ bool GroupedEnumerator::attach_prefix_oracle(OracleChain* chain) {
     walk_stack_.assign(1, 0);
     walk_path_.clear();
     walk_used_.assign(units_.size(), false);
-    prev_unit_order_.clear();
   }
   return true;
 }
@@ -188,24 +185,12 @@ std::optional<Interleaving> GroupedEnumerator::next() {
 std::optional<Interleaving> GroupedEnumerator::next_lexicographic() {
   if (use_walk_) return next_lexicographic_walk();
   if (!first_) {
-    const std::vector<size_t> prev = order_;
     if (!std::next_permutation(order_.begin(), order_.end())) {
       exhausted_ = true;
-      last_common_prefix_.reset();
       return std::nullopt;
     }
-    // Exact divergence point: count events in the unit prefix shared with the
-    // previous permutation (adjacent lexicographic orders usually share all
-    // but the last two or three units, which is what makes prefix snapshots
-    // pay off).
-    size_t events = 0;
-    for (size_t u = 0; u < order_.size() && order_[u] == prev[u]; ++u) {
-      events += units_[order_[u]].events.size();
-    }
-    last_common_prefix_ = events;
   } else {
     first_ = false;
-    last_common_prefix_.reset();  // nothing emitted before the first
   }
   return flatten(units_, order_);
 }
@@ -239,16 +224,6 @@ std::optional<Interleaving> GroupedEnumerator::next_lexicographic_walk() {
     if (walk_path_.size() == k) {
       // leaf: emit, then immediately backtrack this choice
       Interleaving il = flatten(units_, walk_path_);
-      if (prev_unit_order_.empty()) {
-        last_common_prefix_.reset();  // nothing emitted before the first
-      } else {
-        size_t events = 0;
-        for (size_t u = 0; u < k && walk_path_[u] == prev_unit_order_[u]; ++u) {
-          events += units_[walk_path_[u]].events.size();
-        }
-        last_common_prefix_ = events;
-      }
-      prev_unit_order_ = walk_path_;
       walk_path_.pop_back();
       walk_used_[choice] = false;
       if (oracle_ != nullptr) oracle_->pop_unit(choice);
@@ -257,13 +232,10 @@ std::optional<Interleaving> GroupedEnumerator::next_lexicographic_walk() {
     walk_stack_.push_back(0);
   }
   exhausted_ = true;
-  last_common_prefix_.reset();
   return std::nullopt;
 }
 
 std::optional<Interleaving> GroupedEnumerator::next_shuffled() {
-  // Random order: adjacent emissions share no guaranteed prefix.
-  last_common_prefix_.reset();
   // Emit the identity (captured) order first — the baseline the developer
   // actually ran — then seeded random permutations with dedup.
   if (first_) {
@@ -307,8 +279,6 @@ void DfsEnumerator::reset() {
   path_.clear();
   used_.assign(event_ids_.size(), false);
   stack_.push_back(Frame{});  // root
-  prev_order_.clear();
-  last_common_prefix_.reset();
   exhausted_ = event_ids_.empty();
   nodes_expanded_ = 0;
   emitted_ = 0;
@@ -370,14 +340,6 @@ std::optional<Interleaving> DfsEnumerator::next() {
       // leaf: emit, then immediately backtrack this choice
       Interleaving il;
       il.order = path_;
-      if (prev_order_.empty()) {
-        last_common_prefix_.reset();
-      } else {
-        size_t shared = 0;
-        while (shared < n && il.order[shared] == prev_order_[shared]) ++shared;
-        last_common_prefix_ = shared;
-      }
-      prev_order_ = il.order;
       path_.pop_back();
       used_[choice] = false;
       if (oracle_ != nullptr) oracle_->pop_event();

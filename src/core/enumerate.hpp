@@ -42,14 +42,6 @@ class Enumerator {
   /// Interleavings handed out so far.
   uint64_t emitted() const noexcept { return emitted_; }
 
-  /// Incremental-replay hint: a lower bound (in *event* positions) on the
-  /// common prefix between the two most recent interleavings emitted by
-  /// next(). Read after next(); nullopt = no guarantee, the replay engine
-  /// falls back to comparing the interleavings directly. Lexicographic and
-  /// DFS orders report the exact divergence point; randomized orders report
-  /// nullopt.
-  virtual std::optional<size_t> last_common_prefix() const { return std::nullopt; }
-
   /// Prefix-cache placement (DESIGN.md §7): true when a later interleaving
   /// of this stream can diverge from an earlier one right after `event_id`,
   /// so a snapshot taken there may be restored. Answered per event id and
@@ -159,7 +151,6 @@ class GroupedEnumerator : public Enumerator {
   std::optional<Interleaving> next() override;
   uint64_t universe_size() const override;
   void reset() override;
-  std::optional<size_t> last_common_prefix() const override { return last_common_prefix_; }
   /// Lexicographic: the last event of each unit (units run contiguously, so
   /// a later permutation can only diverge at a unit end). Shuffled: none.
   bool checkpoint_after(int event_id) const override;
@@ -183,7 +174,6 @@ class GroupedEnumerator : public Enumerator {
   util::Rng rng_;
   std::vector<size_t> order_;
   std::unordered_set<std::string> seen_;  // Shuffled mode dedup
-  std::optional<size_t> last_common_prefix_;
   int key_width_ = 1;
   bool exhausted_ = false;
   bool first_ = true;
@@ -197,7 +187,6 @@ class GroupedEnumerator : public Enumerator {
   std::vector<size_t> walk_stack_;       // next unit index to try, per depth
   std::vector<size_t> walk_path_;        // chosen unit indices
   std::vector<bool> walk_used_;
-  std::vector<size_t> prev_unit_order_;  // previous emission, for hints
 };
 
 /// Explicit DFS over the permutation tree of raw event ids. Consecutive
@@ -213,7 +202,6 @@ class DfsEnumerator : public Enumerator {
   std::optional<Interleaving> next() override;
   uint64_t universe_size() const override;
   void reset() override;
-  std::optional<size_t> last_common_prefix() const override { return last_common_prefix_; }
 
   std::optional<OracleDomain> prefix_domain() const override;
   bool attach_prefix_oracle(OracleChain* chain) override;
@@ -230,8 +218,6 @@ class DfsEnumerator : public Enumerator {
   std::vector<Frame> stack_;
   std::vector<int> path_;          // chosen event ids, by depth
   std::vector<bool> used_;
-  std::vector<int> prev_order_;    // previous leaf, for last_common_prefix()
-  std::optional<size_t> last_common_prefix_;
   bool exhausted_ = false;
   uint64_t nodes_expanded_ = 0;
   OracleChain* oracle_ = nullptr;

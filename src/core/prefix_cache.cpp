@@ -36,7 +36,6 @@ void PrefixCache::clear() {
 }
 
 size_t PrefixCache::begin_replay(proxy::Rdl& subject, const Interleaving& il,
-                                 std::optional<size_t> hint,
                                  std::vector<util::Result<util::Json>>& results) {
   if (disabled_ || inert_) return 0;
   // Deepest useful snapshot for `il`: its (k-2)-th boundary — the third from
@@ -50,11 +49,9 @@ size_t PrefixCache::begin_replay(proxy::Rdl& subject, const Interleaving& il,
     }
   }
   if (entries_.empty()) return 0;
-  // How deep the shared prefix with the previous interleaving reaches. The
-  // enumerator hint is a lower bound, so trusting it is safe; without one,
+  // How deep the shared prefix with the previous interleaving reaches:
   // compare the orders directly (O(n), negligible next to replay cost).
-  size_t shared = hint ? std::min(*hint, std::min(prev_.size(), il.size()))
-                       : common_prefix_len(prev_, il);
+  const size_t shared = common_prefix_len(prev_, il);
 
   // Snapshots deeper than the shared prefix can never be restored again —
   // the next baseline becomes `il`, which diverges from them.

@@ -32,7 +32,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/interleaving.hpp"
@@ -79,7 +78,7 @@ struct PrefixReplayStats {
 
 /// Stack of subject snapshots keyed by prefix depth against the previously
 /// replayed interleaving. Not thread-safe except for bytes(), which the
-/// parallel dispatcher polls for budget checks.
+/// explorer polls for budget checks.
 class PrefixCache {
  public:
   /// `max_entries` caps the number of retained snapshots (ISSUE's
@@ -95,13 +94,11 @@ class PrefixCache {
   void set_boundaries(std::vector<bool> boundaries);
 
   /// Prepare to replay `il`. Restores the deepest cached snapshot whose depth
-  /// fits inside the prefix shared with the previous interleaving (`hint` is
-  /// an optional lower bound on that prefix from the enumerator; without it
-  /// the interleavings are compared directly). Fills `results` with the
-  /// previous replay's results for the restored prefix and returns the depth
-  /// execution should resume from (0 = caller must full-reset).
+  /// fits inside the prefix shared with the previous interleaving. Fills
+  /// `results` with the previous replay's results for the restored prefix and
+  /// returns the depth execution should resume from (0 = caller must
+  /// full-reset).
   size_t begin_replay(proxy::Rdl& subject, const Interleaving& il,
-                      std::optional<size_t> hint,
                       std::vector<util::Result<util::Json>>& results);
 
   /// Record that `il`'s event at position `pos` has executed: snapshot the

@@ -293,30 +293,12 @@ std::optional<Interleaving> PrunedEnumerator::next() {
     inner_->attach_prefix_oracle(nullptr);
     oracle_.reset();
   }
-  // Min-accumulate the inner hints across every pull of this call: the last
-  // inner pull of the previous call was our previous emission, and common
-  // prefixes satisfy cp(a, c) >= min(cp(a, b), cp(b, c)), so the minimum
-  // over the pruned run is a valid lower bound between the two interleavings
-  // this enumerator actually emitted. Any unknown link poisons the chain.
-  std::optional<size_t> bound;
-  bool have_bound = false;
   while (auto il = inner_->next()) {
-    const auto hint = inner_->last_common_prefix();
-    if (!have_bound) {
-      bound = hint;
-      have_bound = true;
-    } else if (!hint || !bound) {
-      bound = std::nullopt;
-    } else {
-      bound = std::min(*bound, *hint);
-    }
     if (pipeline_.admit(*il)) {
       ++emitted_;
-      last_common_prefix_ = bound;
       return il;
     }
   }
-  last_common_prefix_.reset();
   return std::nullopt;
 }
 
@@ -326,7 +308,6 @@ void PrunedEnumerator::reset() {
   oracle_setup_done_ = false;  // rebuilt lazily on the next pull
   inner_->reset();
   pipeline_.reset();
-  last_common_prefix_.reset();
   emitted_ = 0;
 }
 

@@ -238,7 +238,7 @@ class PruningPipeline {
 /// enumerator exposes a generation tree (DFS, Grouped-lex) and every pruner
 /// supports an oracle, subtrees of guaranteed-duplicates are cut at the
 /// source instead of being generated and filtered — with byte-identical
-/// admitted sequence, stats, hints and budget charges either way (DESIGN.md
+/// admitted sequence, stats and budget charges either way (DESIGN.md
 /// §10). set_generation_pruning(false) forces the legacy filter path.
 class PrunedEnumerator : public Enumerator {
  public:
@@ -247,7 +247,6 @@ class PrunedEnumerator : public Enumerator {
   std::optional<Interleaving> next() override;
   uint64_t universe_size() const override { return inner_->universe_size(); }
   void reset() override;
-  std::optional<size_t> last_common_prefix() const override { return last_common_prefix_; }
   /// Pruning only drops interleavings, so the inner placement still holds.
   bool checkpoint_after(int event_id) const override {
     return inner_->checkpoint_after(event_id);
@@ -273,7 +272,6 @@ class PrunedEnumerator : public Enumerator {
 
   std::unique_ptr<Enumerator> inner_;
   PruningPipeline pipeline_;
-  std::optional<size_t> last_common_prefix_;
   bool generation_pruning_ = true;
   bool dynamic_pruning_ = true;
   bool oracle_setup_done_ = false;

@@ -27,9 +27,9 @@
 //    declines the cut — exactness is never traded for speed.
 //
 // With that, the admitted sequence, PruningPipeline::Stats (including
-// pruned_by multi-attribution), prefix hints, budget charges and the full
-// ReplayReport are byte-identical with oracles on vs. off, at any parallelism
-// and snapshot depth. The chain refuses to build (make_oracle_chain returns
+// pruned_by multi-attribution), budget charges and the full ReplayReport
+// are byte-identical with oracles on vs. off, at any parallelism and
+// snapshot depth. The chain refuses to build (make_oracle_chain returns
 // nullptr, falling back to generate-then-test) whenever a pruner combination
 // would violate either property — see the composition guards in
 // pruning_incremental.cpp.

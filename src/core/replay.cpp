@@ -131,6 +131,64 @@ util::Json ReplayReport::to_json() const {
   return j;
 }
 
+void commit_outcome(ReplayReport& report, const Interleaving& il,
+                    const InterleavingOutcome& outcome, std::string_view plan_key,
+                    uint64_t plan_ordinal) {
+  ++report.explored;
+  if (outcome.quarantine()) {
+    // Quarantine (watchdog timeout, deterministic sandbox crash or oom):
+    // counted per kind, keyed, never a violation — and committed in order,
+    // so the quarantine list is deterministic.
+    if (outcome.timed_out) {
+      ++report.timed_out;
+    } else if (outcome.crashed) {
+      ++report.crashed_replays;
+    } else {
+      ++report.oom_replays;
+    }
+    std::string key;
+    if (!plan_key.empty()) {
+      key += plan_key;
+      key += '/';
+    }
+    il.append_key(key);
+    report.quarantine_records.push_back(
+        {key, outcome.quarantine_reason(), outcome.term_signal});
+    report.quarantined.push_back(std::move(key));
+  }
+  if (outcome.recovery) {
+    switch (outcome.recovery->status) {
+      case RecoveryVerdict::Status::Recovered: ++report.recoveries_clean; break;
+      case RecoveryVerdict::Status::MissingEntries: ++report.recoveries_missing_entries; break;
+      case RecoveryVerdict::Status::Diverged: ++report.recoveries_diverged; break;
+    }
+  }
+  for (const auto& violation : outcome.violations) {
+    ++report.violations;
+    if (report.messages.size() < 16) {
+      if (plan_key.empty()) {
+        report.messages.push_back(violation.message);
+      } else {
+        std::string message = "[plan ";
+        message += plan_key;
+        message += "] ";
+        message += violation.message;
+        report.messages.push_back(std::move(message));
+      }
+    }
+    if (!report.reproduced) {
+      report.reproduced = true;
+      report.first_violation_index = report.explored;
+      report.first_violation_assertion = violation.assertion;
+      report.first_violation = il;
+      if (!plan_key.empty()) {
+        report.first_violation_plan = plan_key;
+        report.first_violation_plan_interleaving = plan_ordinal;
+      }
+    }
+  }
+}
+
 ReplayEngine::ReplayEngine(proxy::RdlProxy& proxy, ReplayOptions options)
     : proxy_(&proxy), options_(std::move(options)) {
   if (options_.threaded && options_.lock_server == nullptr) {
@@ -153,11 +211,6 @@ ReplayEngine::ReplayEngine(proxy::RdlProxy& proxy, ReplayOptions options)
 
 ReplayEngine::~ReplayEngine() {
   if (recorder_ != nullptr) proxy_->target().set_footprint_recorder(nullptr);
-}
-
-void ReplayEngine::reset_prefix_state() {
-  prefix_stats_ = PrefixReplayStats{};
-  if (cache_) cache_->clear();
 }
 
 void ReplayEngine::execute_fast(const Interleaving& il, const EventSet& events, size_t start,
@@ -241,15 +294,14 @@ void ReplayEngine::execute_threaded(const Interleaving& il, const EventSet& even
 }
 
 InterleavingOutcome ReplayEngine::replay_one(const Interleaving& il, const EventSet& events,
-                                             const AssertionList& assertions,
-                                             std::optional<size_t> prefix_hint) {
+                                             const AssertionList& assertions) {
   std::vector<util::Result<util::Json>> results;
   results.reserve(il.size());
 
   // Restore the deepest shared-prefix checkpoint, or fall back to the full
   // reset every interleaving historically started from.
   const size_t start =
-      cache_ ? cache_->begin_replay(proxy_->target(), il, prefix_hint, results) : 0;
+      cache_ ? cache_->begin_replay(proxy_->target(), il, results) : 0;
   if (start == 0) {
     proxy_->target().reset();
     results.clear();
@@ -288,78 +340,6 @@ InterleavingOutcome ReplayEngine::replay_one(const Interleaving& il, const Event
   }
   if (observer_) observer_->finish_outcome(proxy_->target(), il, outcome);
   return outcome;
-}
-
-ReplayReport ReplayEngine::run(Enumerator& enumerator, const EventSet& events,
-                               const AssertionList& assertions) {
-  ReplayReport report;
-  util::Stopwatch watch;
-  BudgetAccount local_budget(options_.resource_budget_bytes);
-  BudgetAccount* budget = options_.budget != nullptr ? options_.budget : &local_budget;
-
-  reset_prefix_state();
-  if (cache_) cache_->set_boundaries(checkpoint_boundaries(enumerator, events));
-  for (const auto& assertion : assertions) assertion->on_run_start();
-
-  while (report.explored < options_.max_interleavings) {
-    // Cooperative cancel: stop pulling and return the committed prefix.
-    if (options_.cancel && options_.cancel->load(std::memory_order_relaxed)) {
-      report.cancelled = true;
-      break;
-    }
-    // Resource check first — the explored-interleaving log plus any
-    // enumerator/pruner caches plus retained prefix snapshots must fit the
-    // configured budget.
-    const uint64_t extra = (options_.extra_cache_bytes ? options_.extra_cache_bytes() : 0) +
-                           snapshot_cache_bytes();
-    if (budget->crash_if_exceeded(extra)) {
-      report.crashed = true;
-      report.budget_exhausted = true;
-      break;
-    }
-
-    const auto il = enumerator.next();
-    if (!il) {
-      report.exhausted = true;
-      break;
-    }
-    ++report.explored;
-    budget->charge(explored_log_entry_bytes(*il));
-
-    const InterleavingOutcome outcome =
-        replay_one(*il, events, assertions, enumerator.last_common_prefix());
-    if (outcome.quarantine()) {
-      // In-process replay only ever times out (crash/oom outcomes need the
-      // sandbox), but the aggregation is shared so the taxonomy stays in one
-      // place.
-      if (outcome.timed_out) ++report.timed_out;
-      if (outcome.crashed) ++report.crashed_replays;
-      if (outcome.oom) ++report.oom_replays;
-      report.quarantined.push_back(il->key());
-      report.quarantine_records.push_back(
-          {il->key(), outcome.quarantine_reason(), outcome.term_signal});
-    }
-    count_recovery(report, outcome);
-    for (const auto& violation : outcome.violations) {
-      ++report.violations;
-      if (report.messages.size() < 16) report.messages.push_back(violation.message);
-      if (!report.reproduced) {
-        report.reproduced = true;
-        report.first_violation_index = report.explored;
-        report.first_violation_assertion = violation.assertion;
-        report.first_violation = *il;
-      }
-    }
-
-    if (options_.on_outcome) options_.on_outcome(report.explored, *il, outcome);
-    if (options_.on_interleaving_done) options_.on_interleaving_done(report.explored, *il);
-    if (!outcome.violations.empty() && options_.stop_on_violation) break;
-  }
-
-  report.hit_cap = report.explored >= options_.max_interleavings;
-  report.elapsed_seconds = watch.elapsed_seconds();
-  report.prefix = prefix_stats_;
-  return report;
 }
 
 }  // namespace erpi::core

@@ -1,9 +1,9 @@
 // Replay engine (paper §4.3).
 //
-// Pulls interleavings from an enumerator and, for each one: resets the system
-// under test to its initial state, executes the events in the interleaving's
-// order through the RDL proxy, then runs the configured assertions. Two
-// execution modes:
+// Replays one interleaving at a time: resets the system under test to its
+// initial state (or restores a shared-prefix snapshot), executes the events
+// in the interleaving's order through the RDL proxy, then runs the
+// configured assertions. Two execution modes:
 //
 //  * fast (default) — events are invoked in order on the calling thread; the
 //    order is trivially enforced. This is what the benchmarks use.
@@ -12,16 +12,14 @@
 //    in the mini-Redis server, mirroring the paper's deployment across
 //    machines. Used by tests/examples to validate the lock protocol.
 //
-// The engine also models the paper's resource accounting: like the DMCK
-// "server [that] keeps track of which interleavings have been explored", it
-// records every explored interleaving; when the configured budget is
-// exceeded the run "crashes" (Fig. 10's succeed-or-crash experiment).
-//
-// Thread safety: one ReplayEngine::run drives one enumerator on one thread.
-// To explore an interleaving stream across cores, use sched::ParallelExplorer
-// (src/sched/explorer.hpp), which gives each worker its own engine over an
-// isolated subject fixture and charges all workers against one shared
-// BudgetAccount.
+// The run loop lives in sched::ParallelExplorer (src/sched/explorer.hpp): it
+// pulls interleavings from an enumerator, gives each worker its own engine
+// over an isolated subject fixture, and commits outcomes through
+// commit_outcome below. It also models the paper's resource accounting: like
+// the DMCK "server [that] keeps track of which interleavings have been
+// explored", it charges every explored interleaving to one BudgetAccount;
+// when the configured budget is exceeded the run "crashes" (Fig. 10's
+// succeed-or-crash experiment).
 #pragma once
 
 #include <algorithm>
@@ -36,7 +34,6 @@
 #include "core/prefix_cache.hpp"
 #include "kvstore/server.hpp"
 #include "proxy/proxy.hpp"
-#include "util/stopwatch.hpp"
 
 namespace erpi::core {
 
@@ -44,7 +41,7 @@ class IndependenceLearner;  // core/dpor.hpp — dynamic-pruning relation
 class FootprintRecorder;    // core/dpor.hpp — per-event footprint hook
 
 /// Thread-safe ledger for the Fig. 10 resource budget. One account may be
-/// shared by several engines (the parallel scheduler's workers): charges are
+/// shared by several threads (the explorer's workers): charges are
 /// atomic and the crash verdict latches exactly once, so concurrent callers
 /// agree on whether the run crashed.
 class BudgetAccount {
@@ -134,8 +131,8 @@ inline constexpr size_t kDefaultMaxSnapshotDepth = 16;
 /// semantics) follows that rank deterministically at any worker count.
 ///
 ///  * LexOrder        — the enumerator's native stream order. With
-///    SearchOptions::deterministic_order (the default) this is the historical
-///    streaming engine, byte-identical to prior releases.
+///    SearchOptions::deterministic_order (the default) workers pull straight
+///    from the enumerator stream, byte-identical to prior releases.
 ///  * RandomPath      — seeded pseudo-random subtree order (klee-style random
 ///    tree descent, collapsed to a deterministic priority). Same seed ⇒ same
 ///    order on every run and worker count.
@@ -160,8 +157,8 @@ const char* search_strategy_name(SearchStrategy strategy) noexcept;
 struct SearchOptions {
   SearchStrategy strategy = SearchStrategy::LexOrder;
   /// Force lex (enumerator stream) commit order. Defaults on: LexOrder with
-  /// deterministic_order runs the historical streaming dispatcher and its
-  /// reports are byte-identical to prior releases. Clearing it routes even
+  /// deterministic_order pulls from the enumerator stream and its reports
+  /// are byte-identical to prior releases. Clearing it routes even
   /// LexOrder through the subtree frontier + work stealing (same report
   /// fields; the budget is charged at generation instead of interleaved with
   /// replay — see DESIGN.md §12 for the exact parity limits).
@@ -179,19 +176,19 @@ struct SearchOptions {
   size_t max_subtree_items = 0;
 
   /// True when these options route exploration through the guided frontier
-  /// instead of the historical streaming dispatcher.
+  /// instead of the enumerator stream.
   bool guided() const noexcept {
     return strategy != SearchStrategy::LexOrder || !deterministic_order;
   }
 };
 
 /// Explorer scheduling telemetry (guided exploration, DESIGN.md §12): the
-/// chosen dispatch batch size, frontier shape, steal traffic and worker idle
+/// stream refill size, frontier shape, steal traffic and worker idle
 /// time. Collected only when ExplorerOptions::collect_stats is set (timing
 /// fields are wall-clock noise, so reports stay byte-stable by default) and
 /// omitted from to_json when all-zero, SandboxStats-style.
 struct ExplorerStats {
-  uint64_t batch_size = 0;        // streaming mode: chosen dispatch batch
+  uint64_t batch_size = 0;        // stream source: items per worker refill
   uint64_t subtrees = 0;          // frontier handles after ranking
   uint64_t steals = 0;            // steal operations across the frontier
   uint64_t splits = 0;            // steals that split the victim's handle
@@ -338,9 +335,9 @@ struct ReplayOptions {
   /// pre-snapshot engine.
   size_t max_snapshot_depth = kDefaultMaxSnapshotDepth;
   /// Where the prefix cache may snapshot, indexed by event id (see
-  /// PrefixCache::set_boundaries); empty = after every event. ReplayEngine::run
-  /// and sched::ParallelExplorer::run fill it from their enumerator, so set
-  /// it only when driving replay_one directly.
+  /// PrefixCache::set_boundaries); empty = after every event.
+  /// sched::ParallelExplorer::run fills it from its enumerator, so set it
+  /// only when driving replay_one directly.
   std::vector<bool> checkpoint_boundaries;
   /// Execute through per-replica worker threads + distributed lock.
   bool threaded = false;
@@ -351,10 +348,10 @@ struct ReplayOptions {
   /// extra cache reported by `extra_cache_bytes`. Ignored when `budget` is
   /// injected below.
   uint64_t resource_budget_bytes = UINT64_MAX;
-  /// Shared budget ledger. When null the engine keeps a private account
-  /// seeded from `resource_budget_bytes`; inject one to share accounting
-  /// across engines (sched::ParallelExplorer charges every worker against a
-  /// single account, atomically, crash-once).
+  /// Shared budget ledger. When null each explorer run keeps a private
+  /// account seeded from `resource_budget_bytes`; inject one to share
+  /// accounting across runs (the fault explorer charges every plan's sweep
+  /// against a single account, atomically, crash-once).
   BudgetAccount* budget = nullptr;
   /// Extra memory to charge against the budget (e.g. the Random enumerator's
   /// dedup cache, the pruning pipeline's canonical-form set).
@@ -379,7 +376,8 @@ struct ReplayOptions {
   /// to this many milliseconds. A replay that exceeds the deadline is
   /// recorded as a structured `timed_out` outcome (not a crash), its key is
   /// quarantined in the report, the worker's fixture is rebuilt, and
-  /// exploration continues. The sequential ReplayEngine::run ignores it.
+  /// exploration continues. A run over a borrowed fixture (Session::end with
+  /// an assertion list) has no factory to rebuild from and ignores it.
   /// Under Isolation::Process the supervisor escalates from the cooperative
   /// in-process cancel to SIGKILLing the sandbox child — a replay stuck
   /// inside subject code (unreachable by the cooperative flag) is reclaimed
@@ -409,11 +407,11 @@ struct ReplayOptions {
   /// consecutive failure and capped at sandbox_spawn_backoff_cap_ms.
   uint64_t sandbox_spawn_backoff_ms = 10;
   uint64_t sandbox_spawn_backoff_cap_ms = 1000;
-  /// Cooperative cancellation token. When set and flipped true, dispatch
-  /// stops pulling new interleavings (the streaming and guided explorers
-  /// check it between pulls, the sequential engine between replays, the
-  /// fault explorer additionally between plans) and the run drains to a
-  /// deterministic committed prefix with ReplayReport::cancelled set. The
+  /// Cooperative cancellation token. When set and flipped true, the explorer
+  /// stops pulling new interleavings (it checks the token before every pull
+  /// and before every replay, the fault explorer additionally between plans)
+  /// and the run drains to a deterministic committed prefix with
+  /// ReplayReport::cancelled set. The
   /// service daemon flips it when a job's client disconnects mid-stream or
   /// its deadline expires; unlike the budget crash latch it carries no
   /// "crashed" connotation.
@@ -427,13 +425,11 @@ struct ReplayOptions {
   /// interleaving itself (the Session uses this to poll the constraints
   /// directory and to persist replayed interleavings).
   ///
-  /// Threading contract: ReplayEngine::run invokes the callback on the
+  /// Threading contract: sched::ParallelExplorer invokes the callback on the
   /// calling thread, strictly serialized, in ascending index order, never
-  /// concurrently with itself. sched::ParallelExplorer preserves the same
-  /// contract — delivery happens on its control thread in global index order
-  /// while holding the enumerator lock — so the callback may mutate the
-  /// enumerator / pruning pipeline without additional locking. The callback
-  /// must not re-enter the engine or the explorer.
+  /// concurrently with itself, while holding the enumerator lock — so the
+  /// callback may mutate the enumerator / pruning pipeline without
+  /// additional locking. The callback must not re-enter the explorer.
   std::function<void(uint64_t, const Interleaving&)> on_interleaving_done;
 };
 
@@ -555,17 +551,16 @@ struct InterleavingOutcome {
   }
 };
 
-/// Fold one outcome's recovery verdict into the run-level counters — shared
-/// by every aggregation site (sequential engine, parallel committer, fault
-/// explorer) so all report shapes agree at any parallelism.
-inline void count_recovery(ReplayReport& report, const InterleavingOutcome& outcome) noexcept {
-  if (!outcome.recovery) return;
-  switch (outcome.recovery->status) {
-    case RecoveryVerdict::Status::Recovered: ++report.recoveries_clean; break;
-    case RecoveryVerdict::Status::MissingEntries: ++report.recoveries_missing_entries; break;
-    case RecoveryVerdict::Status::Diverged: ++report.recoveries_diverged; break;
-  }
-}
+/// Commit one outcome into the run report: the explored count, quarantine
+/// keys, recovery counters, violations and first-violation fields. The one
+/// aggregation every run shares — the explorer's in-order committer and the
+/// fault explorer (live and journal-merged pairs alike) — so all report
+/// shapes agree at any parallelism. A non-empty `plan_key` names the fault
+/// plan: quarantine keys become "plan/il-key", messages are prefixed with
+/// the plan, and a first violation records the plan and `plan_ordinal`.
+void commit_outcome(ReplayReport& report, const Interleaving& il,
+                    const InterleavingOutcome& outcome, std::string_view plan_key = {},
+                    uint64_t plan_ordinal = 0);
 
 class ReplayEngine {
  public:
@@ -573,34 +568,23 @@ class ReplayEngine {
   /// Uninstalls the footprint recorder from the subject (if one was wired).
   ~ReplayEngine();
 
-  ReplayReport run(Enumerator& enumerator, const EventSet& events,
-                   const AssertionList& assertions);
-
   /// Replay exactly one interleaving (restore-or-reset → execute → assert)
   /// without touching any run-level state. This is the building block the
-  /// parallel scheduler drives from worker threads — each worker owns its own
-  /// engine, proxy, subject and prefix cache, so concurrent replay_one calls
-  /// never share mutable subject state. Does not call
-  /// Assertion::on_run_start and does not deliver on_interleaving_done;
-  /// callers own that protocol. `prefix_hint` is an optional lower bound on
-  /// the common prefix with the engine's previously replayed interleaving
-  /// (from Enumerator::last_common_prefix); without it the cache compares
-  /// interleavings directly.
+  /// explorer drives from its workers — each worker owns its own engine,
+  /// proxy, subject and prefix cache, so concurrent replay_one calls never
+  /// share mutable subject state. Does not call Assertion::on_run_start and
+  /// does not deliver on_interleaving_done; callers own that protocol.
   InterleavingOutcome replay_one(const Interleaving& il, const EventSet& events,
-                                 const AssertionList& assertions,
-                                 std::optional<size_t> prefix_hint = std::nullopt);
+                                 const AssertionList& assertions);
 
-  /// Incremental-replay counters since the last run()/reset_prefix_state().
+  /// Incremental-replay counters since construction.
   const PrefixReplayStats& prefix_stats() const noexcept { return prefix_stats_; }
 
   /// Bytes currently retained by the prefix snapshot cache. Thread-safe; the
-  /// parallel dispatcher polls workers' engines for budget checks.
+  /// explorer polls workers' engines for budget checks.
   uint64_t snapshot_cache_bytes() const noexcept {
     return cache_ ? cache_->bytes() : 0;
   }
-
-  /// Drop all snapshots and zero the counters (run() does this on entry).
-  void reset_prefix_state();
 
   /// Cooperative cancellation for the replay watchdog: flips an atomic that
   /// the execute loops poll (per event in fast mode, per lock-spin iteration

@@ -237,8 +237,13 @@ ReplayReport Session::end(const AssertionList& assertions) {
         "the fixture and its assertions from the factories");
   }
   PreparedRun prepared = prepare_run();
-  ReplayEngine engine(*proxy_, prepared.replay);
-  ReplayReport report = engine.run(*prepared.enumerator, events_, assertions);
+  // One worker, inline on this thread, over the live proxy and the caller's
+  // assertion instances.
+  sched::ExplorerOptions options;
+  options.parallelism = 1;
+  options.replay = prepared.replay;
+  sched::ParallelExplorer explorer(std::move(options));
+  ReplayReport report = explorer.run(*prepared.enumerator, events_, *proxy_, assertions);
   finish_run(prepared);
   return report;
 }
@@ -247,7 +252,8 @@ ReplayReport Session::end_with_factory(const AssertionFactory& assertion_factory
   const bool sandboxed = config_.isolation == Isolation::Process ||
                          config_.replay.isolation == Isolation::Process;
   if (config_.parallelism <= 1 && !sandboxed && !config_.search.guided()) {
-    // Delegate to the sequential path — bit-for-bit today's behavior.
+    // One assertion set over the live fixture: the same run as
+    // end(AssertionList).
     AssertionList assertions;
     if (assertion_factory) assertions = assertion_factory(proxy_->target());
     const int saved_parallelism = config_.parallelism;  // may be 0/negative

@@ -25,8 +25,9 @@
 //     return {query_result_equals(9, expected)};
 //   });
 //
-// parallelism == 1 keeps the sequential engine bit-for-bit (same explored
-// count, same first_violation_index, same persisted log).
+// Every end() runs the same explorer loop. parallelism == 1 runs it inline on
+// the calling thread over the live proxy, and any parallelism gives the same
+// explored count, first_violation_index and persisted log.
 #pragma once
 
 #include <memory>
@@ -86,9 +87,8 @@ class Session {
     /// Persist events/units and every replayed interleaving into Datalog.
     bool persist = false;
     /// Worker count for parallel exploration (sched::ParallelExplorer).
-    /// 1 (default) replays sequentially on the calling thread, preserving
-    /// today's behavior exactly; > 1 requires a subject factory and the
-    /// end(AssertionFactory) overload.
+    /// 1 (default) replays inline on the calling thread over the live proxy;
+    /// > 1 requires a subject factory and the end(AssertionFactory) overload.
     int parallelism = 1;
     /// Clones the subject-system fixture for each parallel worker (also
     /// settable through start(SubjectFactory)).
@@ -192,7 +192,7 @@ class Session {
 
   /// After a parallel end(): each worker's assertion instances, for merging
   /// observer state (e.g. collect_profiles over ResourceProfiler samples).
-  /// Empty after a sequential run.
+  /// Empty after a run on the live proxy (parallelism 1).
   const std::vector<AssertionList>& worker_assertions() const noexcept {
     return worker_assertions_;
   }

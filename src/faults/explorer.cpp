@@ -263,44 +263,15 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
   // streaming consumer (the service daemon's progress deltas) wants.
   const auto user_on_outcome = replay.on_outcome;
 
-  // Commit one (interleaving, plan) pair into the run report — the single
-  // aggregation point both live outcomes and journal-merged outcomes go
-  // through, so resumed and uninterrupted runs produce identical reports.
-  const auto commit = [&](const FaultPlan& plan, uint64_t plan_ordinal,
+  // Commit one (interleaving, plan) pair into the run report — live
+  // outcomes and journal-merged outcomes alike go through
+  // core::commit_outcome, so resumed and uninterrupted runs produce
+  // identical reports.
+  const auto commit = [&](const std::string& plan_key, uint64_t plan_ordinal,
                           const core::Interleaving& il,
                           const core::InterleavingOutcome& outcome, bool from_journal) {
-    ++report.explored;
     if (from_journal) ++report.pairs_skipped_from_journal;
-    if (outcome.quarantine()) {
-      if (outcome.timed_out) {
-        ++report.timed_out;
-      } else if (outcome.crashed) {
-        ++report.crashed_replays;
-      } else {
-        ++report.oom_replays;
-      }
-      std::string qkey = plan.key();
-      qkey += '/';
-      il.append_key(qkey);
-      report.quarantine_records.push_back(
-          {qkey, outcome.quarantine_reason(), outcome.term_signal});
-      report.quarantined.push_back(std::move(qkey));
-    }
-    core::count_recovery(report, outcome);
-    for (const auto& violation : outcome.violations) {
-      ++report.violations;
-      if (report.messages.size() < 16) {
-        report.messages.push_back("[plan " + plan.key() + "] " + violation.message);
-      }
-      if (!report.reproduced) {
-        report.reproduced = true;
-        report.first_violation_index = report.explored;
-        report.first_violation_assertion = violation.assertion;
-        report.first_violation = il;
-        report.first_violation_plan = plan.key();
-        report.first_violation_plan_interleaving = plan_ordinal;
-      }
-    }
+    core::commit_outcome(report, il, outcome, plan_key, plan_ordinal);
     if (!outcome.violations.empty() && replay.stop_on_violation) stopped = true;
     if (user_on_outcome) user_on_outcome(report.explored, il, outcome);
   };
@@ -314,11 +285,12 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
       break;
     }
     ++report.plans_explored;
+    const std::string plan_key = plan.key();
 
     // Merge the journaled prefix of this plan's sweep (an ascending 1..m
     // prefix, because the committer journals in commit order).
     uint64_t skip = 0;
-    if (const auto it = journaled.find(plan.key()); it != journaled.end()) {
+    if (const auto it = journaled.find(plan_key); it != journaled.end()) {
       for (const auto& record : it->second) {
         core::InterleavingOutcome outcome;
         outcome.timed_out = record.timed_out;
@@ -343,8 +315,8 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
         }
         // Journal-merged pairs are proven outcomes of this configuration —
         // the corpus learns them (or diffs against them) like live commits.
-        offer_to_corpus(plan.key(), record.key, outcome);
-        commit(plan, record.interleaving, core::Interleaving::from_key(record.key),
+        offer_to_corpus(plan_key, record.key, outcome);
+        commit(plan_key, record.interleaving, core::Interleaving::from_key(record.key),
                outcome, /*from_journal=*/true);
         skip = record.interleaving;
         if (stopped) break;
@@ -353,8 +325,8 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
     if (stopped) break;
 
     // Rebuild the enumerator for this plan and drain the journaled prefix,
-    // charging the explored-interleaving budget exactly as the dispatcher
-    // would have — so a resumed run's budget trajectory matches.
+    // charging the explored-interleaving budget exactly as the explorer's
+    // pull would have — so a resumed run's budget trajectory matches.
     auto enumerator = session_->make_enumerator();
     if (plan.kind != FaultPlan::Kind::None) {
       // Footprints were learned under the unfaulted ("none") context; a fault
@@ -398,7 +370,7 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
       il.append_key(il_key);
       if (journal) {
         core::RunJournal::Record record;
-        record.plan = plan.key();
+        record.plan = plan_key;
         record.interleaving = plan_ordinal;
         record.key = il_key;
         record.timed_out = outcome.timed_out;
@@ -414,8 +386,8 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
         }
         journal->append(record);
       }
-      offer_to_corpus(plan.key(), il_key, outcome);
-      commit(plan, plan_ordinal, il, outcome, /*from_journal=*/false);
+      offer_to_corpus(plan_key, il_key, outcome);
+      commit(plan_key, plan_ordinal, il, outcome, /*from_journal=*/false);
     };
     options.subject_factory = config.subject_factory;
     options.assertion_factory = assertion_factory;
@@ -423,11 +395,12 @@ core::ReplayReport FaultExplorer::run(const core::AssertionFactory& assertion_fa
     options.collect_stats = config.collect_explorer_stats;
     options.violation_priors = priors;
     options.coverage = coverage;
-    options.context_key = plan.key();
+    options.context_key = plan_key;
     if (reuse) {
-      // The dispatcher resolves already-proven classes straight from the
-      // corpus; misses replay normally and are appended via offer_to_corpus.
-      options.outcome_cache = [&, plan_key = plan.key()](const core::Interleaving& il)
+      // The explorer resolves already-proven classes straight from the
+      // corpus at pull time; misses replay normally and are appended via
+      // offer_to_corpus.
+      options.outcome_cache = [&](const core::Interleaving& il)
           -> std::optional<core::InterleavingOutcome> {
         std::string il_key;
         il.append_key(il_key);

@@ -76,7 +76,7 @@ struct WorkResponse {
   /// Cumulative for the runner's lifetime; the supervisor folds the last
   /// value into its per-worker tally when the runner dies.
   core::PrefixReplayStats prefix;
-  /// Live snapshot-cache bytes, for the dispatcher's shared-budget polls.
+  /// Live snapshot-cache bytes, for the explorer's shared-budget polls.
   uint64_t cache_bytes = 0;
 };
 

@@ -229,7 +229,7 @@ ForkServer::ForkServer(core::SubjectFactory subject_factory,
   config.memory_limit_bytes = base.sandbox_memory_limit_bytes;
   config.events = events;
   // The child replays on its own thread with no watchdog (the supervisor
-  // enforces deadlines externally), no shared budget (the dispatcher accounts
+  // enforces deadlines externally), no shared budget (the explorer accounts
   // for everything parent-side) and no callbacks (delivery is the explorer's
   // job). observer_factory survives: fault-schedule hooks must fire inside
   // the child, where the subject lives.

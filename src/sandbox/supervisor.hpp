@@ -52,7 +52,7 @@ namespace erpi::sandbox {
 /// driven by exactly one worker thread (construction and destruction happen
 /// on the explorer's control thread while the pool is quiescent — that is
 /// what keeps every fork single-threaded). Only snapshot_cache_bytes() may be
-/// called concurrently (the dispatcher's budget polls).
+/// called concurrently (the explorer's budget polls).
 class ForkServer {
  public:
   /// Forks the server process and spawns the first runner (which builds its
@@ -88,7 +88,7 @@ class ForkServer {
   core::PrefixReplayStats prefix_stats() const;
 
   /// Live runner's snapshot-cache bytes as of its last response. Thread-safe;
-  /// the dispatcher polls it for shared-budget checks.
+  /// the explorer polls it for shared-budget checks.
   uint64_t snapshot_cache_bytes() const noexcept {
     return cache_bytes_.load(std::memory_order_relaxed);
   }

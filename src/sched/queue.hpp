@@ -1,13 +1,12 @@
-// Bounded MPMC queue — the hand-off channel between the parallel explorer's
-// dispatcher and its replay workers.
+// Bounded MPMC queue — the results channel from the parallel explorer's
+// replay workers to its committer.
 //
-// Deliberately simple (one mutex, two condvars): the queue moves *batches* of
-// interleavings, so it is touched a few thousand times per run at most and is
-// nowhere near the hot path (replaying an interleaving costs orders of
-// magnitude more than a queue operation). The bound provides backpressure —
-// the dispatcher cannot race ahead of the workers by more than
-// capacity × batch_size interleavings, which keeps the early-cancel window
-// small when stop_on_violation is set.
+// Deliberately simple (one mutex, two condvars): a queue operation costs
+// orders of magnitude less than the replay that produced the item, so it is
+// nowhere near the hot path. A finite bound gives backpressure (producers
+// block while the queue is full); the explorer's results channel is
+// unbounded, because the committer may need every earlier result before it
+// can commit the next one.
 #pragma once
 
 #include <condition_variable>
@@ -21,7 +20,7 @@ namespace erpi::sched {
 /// What happened to a push(): accepted, or refused because the queue was
 /// closed (shutdown). The two used to be conflated in a bool, which made a
 /// stop-on-violation cancellation indistinguishable from backpressure for
-/// the dispatcher — an enum forces callers to name the shutdown case.
+/// the producer — an enum forces callers to name the shutdown case.
 enum class QueuePush { Pushed, Closed };
 
 template <typename T>

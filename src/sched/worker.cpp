@@ -10,17 +10,25 @@ namespace erpi::sched {
 
 WorkerContext::WorkerContext(const core::SubjectFactory& subject_factory,
                              const core::AssertionFactory& assertion_factory,
-                             core::ReplayOptions base, core::BudgetAccount* budget)
-    : subject_factory_(subject_factory), assertion_factory_(assertion_factory) {
+                             core::ReplayOptions base)
+    : subject_factory_(subject_factory),
+      assertion_factory_(assertion_factory),
+      options_(std::move(base)) {
   if (!subject_factory_) {
     throw std::invalid_argument("parallel exploration requires a subject factory");
   }
-  options_ = std::move(base);
-  options_.budget = budget;
-  options_.on_interleaving_done = nullptr;
-  options_.on_outcome = nullptr;
-  options_.extra_cache_bytes = nullptr;  // budget checks happen at dispatch
+  options_.lock_server = nullptr;  // every worker hosts its own lock
   fixture_ = build_fixture();
+}
+
+WorkerContext::WorkerContext(proxy::RdlProxy& proxy, core::AssertionList assertions,
+                             core::ReplayOptions base)
+    : options_(std::move(base)) {
+  options_.watchdog_timeout_ms = 0;  // nothing to rebuild a hung fixture from
+  fixture_ = std::make_shared<Fixture>();
+  fixture_->proxy = &proxy;
+  fixture_->assertions = std::move(assertions);
+  attach_engine(*fixture_);
 }
 
 std::shared_ptr<WorkerContext::Fixture> WorkerContext::build_fixture() const {
@@ -29,18 +37,21 @@ std::shared_ptr<WorkerContext::Fixture> WorkerContext::build_fixture() const {
   if (fixture->subject == nullptr) {
     throw std::invalid_argument("subject factory returned a null fixture");
   }
-  fixture->proxy = std::make_unique<proxy::RdlProxy>(*fixture->subject);
+  fixture->owned_proxy = std::make_unique<proxy::RdlProxy>(*fixture->subject);
+  fixture->proxy = fixture->owned_proxy.get();
   if (assertion_factory_) fixture->assertions = assertion_factory_(*fixture->subject);
-
-  core::ReplayOptions options = options_;
-  if (options.threaded) {
-    fixture->lock_server = std::make_unique<kv::Server>();
-    options.lock_server = fixture->lock_server.get();
-  }
-  fixture->engine = std::make_unique<core::ReplayEngine>(*fixture->proxy, std::move(options));
-
-  for (const auto& assertion : fixture->assertions) assertion->on_run_start();
+  attach_engine(*fixture);
   return fixture;
+}
+
+void WorkerContext::attach_engine(Fixture& fixture) const {
+  core::ReplayOptions options = options_;
+  if (options.threaded && options.lock_server == nullptr) {
+    fixture.lock_server = std::make_unique<kv::Server>();
+    options.lock_server = fixture.lock_server.get();
+  }
+  fixture.engine = std::make_unique<core::ReplayEngine>(*fixture.proxy, std::move(options));
+  for (const auto& assertion : fixture.assertions) assertion->on_run_start();
 }
 
 core::InterleavingOutcome WorkerContext::replay_one(const core::Interleaving& il,

@@ -6,7 +6,6 @@
 #include <set>
 
 #include "core/enumerate.hpp"
-#include "core/pruning.hpp"
 
 namespace erpi::core {
 namespace {
@@ -128,77 +127,6 @@ TEST(Enumerators, ResetRestartsFromScratch) {
   dfs.reset();
   EXPECT_EQ(dfs.next()->key(), first);
   EXPECT_EQ(dfs.emitted(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Shared-prefix hints (incremental prefix replay)
-// ---------------------------------------------------------------------------
-
-TEST(PrefixHints, GroupedLexicographicHintIsExactInEventPositions) {
-  // Multi-event units: the hint must count *events*, not units.
-  std::vector<EventUnit> units{{{0, 1}}, {{2}}, {{3, 4, 5}}, {{6}}};
-  GroupedEnumerator grouped(units);
-  auto prev = grouped.next();
-  ASSERT_TRUE(prev);
-  EXPECT_FALSE(grouped.last_common_prefix().has_value());  // nothing before first
-  size_t emissions = 1;
-  while (auto il = grouped.next()) {
-    const auto hint = grouped.last_common_prefix();
-    ASSERT_TRUE(hint.has_value());
-    // Units partition distinct event ids, so the shared unit-prefix measured
-    // in events IS the exact shared event-prefix.
-    EXPECT_EQ(*hint, common_prefix_len(*prev, *il)) << "emission " << emissions;
-    prev = il;
-    ++emissions;
-  }
-  EXPECT_EQ(emissions, 24u);  // 4! permutations
-}
-
-TEST(PrefixHints, DfsHintIsExact) {
-  DfsEnumerator dfs(ids(4));
-  auto prev = dfs.next();
-  ASSERT_TRUE(prev);
-  EXPECT_FALSE(dfs.last_common_prefix().has_value());
-  while (auto il = dfs.next()) {
-    const auto hint = dfs.last_common_prefix();
-    ASSERT_TRUE(hint.has_value());
-    EXPECT_EQ(*hint, common_prefix_len(*prev, *il));
-    prev = il;
-  }
-}
-
-TEST(PrefixHints, ShuffledAndRandomProvideNoHint) {
-  std::vector<EventUnit> units{{{0}}, {{1}}, {{2}}};
-  GroupedEnumerator shuffled(units, GroupedEnumerator::Order::Shuffled, 7);
-  while (shuffled.next()) EXPECT_FALSE(shuffled.last_common_prefix().has_value());
-
-  RandomEnumerator rand(ids(3), 7);
-  while (rand.next()) EXPECT_FALSE(rand.last_common_prefix().has_value());
-}
-
-TEST(PrefixHints, PrunedEnumeratorHintIsLowerBoundAcrossSkippedPulls) {
-  // When the pipeline rejects inner emissions, the hint must hold between the
-  // two interleavings actually *emitted*, i.e. the min over the skipped chain.
-  std::vector<EventUnit> units{{{0}}, {{1}}, {{2}}, {{3}}};
-  auto inner = std::make_unique<GroupedEnumerator>(units);
-  PruningPipeline pipeline;
-  pipeline.add(std::make_unique<IndependencePruner>(
-      IndependencePruner::Spec{{2, 3}, {}}));
-  PrunedEnumerator pruned(std::move(inner), std::move(pipeline));
-
-  std::optional<Interleaving> prev;
-  size_t checked = 0;
-  while (auto il = pruned.next()) {
-    const auto hint = pruned.last_common_prefix();
-    if (prev) {
-      ASSERT_TRUE(hint.has_value());  // grouped-lex inner always hints
-      EXPECT_LE(*hint, common_prefix_len(*prev, *il));
-      ++checked;
-    }
-    prev = il;
-  }
-  EXPECT_GT(checked, 0u);
-  EXPECT_GT(pruned.pipeline().stats().pruned, 0u) << "pruner never skipped a pull";
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -117,7 +118,7 @@ std::vector<Scenario> all_scenarios() {
   std::vector<Scenario> scenarios{town_scenario(), collection_scenario(),
                                   lexicographic_variant(collection_scenario())};
   // One registry bug per remaining subject: real workloads, real pruning
-  // config (so the PrunedEnumerator hint path is exercised too), under the
+  // config (so the PrunedEnumerator path is exercised too), under the
   // bug's default shuffled order and under a lexicographic one — only the
   // latter takes snapshots.
   // Roshi-1/ReplicaDB-1 use stateless per-interleaving custom assertions;
@@ -446,8 +447,8 @@ std::string report_without_timing(const ReplayReport& report) {
 
 /// Snapshots a run of `sc` must take at unbounded depth on one worker, from
 /// the boundary rule alone: each interleaving resumes at the deepest of the
-/// previous one's first k-2 boundaries inside the enumerator's prefix hint
-/// and snapshots its remaining boundaries up to the (k-2)-th.
+/// previous one's first k-2 boundaries inside their common prefix and
+/// snapshots its remaining boundaries up to the (k-2)-th.
 uint64_t expected_snapshots(const Scenario& sc) {
   auto subject = sc.make_subject();
   proxy::RdlProxy proxy(*subject);
@@ -462,13 +463,15 @@ uint64_t expected_snapshots(const Scenario& sc) {
   const std::vector<bool> boundaries = checkpoint_boundaries(*enumerator, session.events());
   const auto k = static_cast<uint64_t>(std::count(boundaries.begin(), boundaries.end(), true));
   uint64_t total = 0;
+  std::optional<Interleaving> prev;
   for (uint64_t i = 0; i < 300; ++i) {
-    const auto il = enumerator->next();
+    auto il = enumerator->next();
     if (!il) break;
-    const size_t hint = enumerator->last_common_prefix().value_or(0);
-    uint64_t shared = 0;  // boundaries inside the hinted prefix
-    for (size_t pos = 0; pos < hint; ++pos) shared += boundaries[il->order[pos]] ? 1 : 0;
+    const size_t common = prev ? common_prefix_len(*prev, *il) : 0;
+    uint64_t shared = 0;  // boundaries inside the common prefix
+    for (size_t pos = 0; pos < common; ++pos) shared += boundaries[il->order[pos]] ? 1 : 0;
     total += k - 2 - std::min(shared, k - 2);
+    prev = std::move(il);
   }
   return total;
 }
@@ -492,8 +495,9 @@ TEST(PrefixPlacement, RandomizedOrdersNeverSnapshot) {
 }
 
 TEST(PrefixPlacement, GroupedLexSnapshotsOnlyAtUnitEnds) {
-  // Drive the cache the way ReplayEngine does, watching the snapshot counter
-  // after every executed event to learn each snapshot's depth.
+  // Drive the cache the way ReplayEngine::replay_one does, watching the
+  // snapshot counter after every executed event to learn each snapshot's
+  // depth.
   const Scenario sc = town_scenario();
   auto subject = sc.make_subject();
   proxy::RdlProxy proxy(*subject);
@@ -512,8 +516,7 @@ TEST(PrefixPlacement, GroupedLexSnapshotsOnlyAtUnitEnds) {
   while (auto il = enumerator.next()) {
     if (++replays > 300) break;
     std::vector<util::Result<util::Json>> results;
-    const size_t start =
-        cache.begin_replay(*subject, *il, enumerator.last_common_prefix(), results);
+    const size_t start = cache.begin_replay(*subject, *il, results);
     if (start == 0) {
       subject->reset();
       results.clear();

@@ -1,7 +1,7 @@
 // Generation-time subtree pruning (DESIGN.md §10) parity suite: the oracle
-// chain must produce a byte-identical run — admitted sequence, prefix hints,
-// Stats (including pruned_by multi-attribution), dedup cache bytes and the
-// full ReplayReport — versus the legacy generate-then-test path, across all
+// chain must produce a byte-identical run — admitted sequence, Stats
+// (including pruned_by multi-attribution), dedup cache bytes and the full
+// ReplayReport — versus the legacy generate-then-test path, across all
 // four pruners, their guarded combinations, every tree-shaped enumerator,
 // parallelism and snapshot depth. Plus a seeded fuzz loop random-walking
 // pruner specs with universe accounting cross-checks.
@@ -43,7 +43,6 @@ EnumeratorFactory grouped_lex(std::vector<EventUnit> units) {
 /// Everything observable about one exhaustive PrunedEnumerator run.
 struct RunTrace {
   std::vector<std::string> admitted;
-  std::vector<std::string> hints;  // last_common_prefix per emission, "-" = none
   PruningPipeline::Stats stats;
   uint64_t cache_bytes = 0;
   bool oracle_attached = false;
@@ -57,8 +56,6 @@ RunTrace run_exhaustive(const EnumeratorFactory& make_inner,
   RunTrace trace;
   while (auto il = pruned.next()) {
     trace.admitted.push_back(il->key());
-    const auto hint = pruned.last_common_prefix();
-    trace.hints.push_back(hint ? std::to_string(*hint) : "-");
   }
   trace.stats = pruned.pipeline().stats();
   trace.cache_bytes = pruned.pipeline().cache_bytes();
@@ -79,7 +76,6 @@ void expect_parity(const EnumeratorFactory& make_inner, const PipelineFactory& m
   const RunTrace oracle = run_exhaustive(make_inner, make_pipeline, true);
   EXPECT_FALSE(legacy.oracle_attached);
   EXPECT_EQ(oracle.admitted, legacy.admitted);
-  EXPECT_EQ(oracle.hints, legacy.hints);
   EXPECT_EQ(oracle.stats.admitted, legacy.stats.admitted);
   EXPECT_EQ(oracle.stats.pruned, legacy.stats.pruned);
   EXPECT_EQ(oracle.stats.pruned_by, legacy.stats.pruned_by);
@@ -489,7 +485,6 @@ TEST(GenerationPruning, FuzzRandomSpecsUniverseAccounting) {
     const RunTrace legacy = run_exhaustive(dfs(n), make_pipeline, false);
     const RunTrace oracle = run_exhaustive(dfs(n), make_pipeline, true);
     EXPECT_EQ(oracle.admitted, legacy.admitted);
-    EXPECT_EQ(oracle.hints, legacy.hints);
     EXPECT_EQ(oracle.stats.admitted, legacy.stats.admitted);
     EXPECT_EQ(oracle.stats.pruned, legacy.stats.pruned);
     EXPECT_EQ(oracle.stats.pruned_by, legacy.stats.pruned_by);

@@ -1,10 +1,13 @@
 // Replay-engine tests: reset-per-interleaving, violation reporting, caps,
 // resource budget, fast-vs-threaded equivalence under the distributed lock.
+// Runs go through the explorer's one-worker loop over the fixture's live
+// proxy, the way Session::end drives them.
 #include <gtest/gtest.h>
 
 #include "core/replay.hpp"
 #include "core/session.hpp"
 #include "kvstore/server.hpp"
+#include "sched/explorer.hpp"
 #include "subjects/town.hpp"
 
 namespace erpi::core {
@@ -40,16 +43,25 @@ struct Fixture {
   std::vector<EventUnit> units;
 };
 
+/// One worker, inline, borrowing the fixture's proxy and `assertions`.
+ReplayReport run_replay(Fixture& fx, const ReplayOptions& options, Enumerator& enumerator,
+                        const AssertionList& assertions) {
+  sched::ExplorerOptions explorer_options;
+  explorer_options.parallelism = 1;
+  explorer_options.replay = options;
+  sched::ParallelExplorer explorer(std::move(explorer_options));
+  return explorer.run(enumerator, fx.events, fx.proxy, assertions);
+}
+
 TEST(ReplayEngine, ExploresWholeUniverseWithoutStopOnViolation) {
   Fixture fx;
   ReplayOptions options;
   options.stop_on_violation = false;
   options.max_interleavings = 1000;
-  ReplayEngine engine(fx.proxy, options);
   auto enumerator = fx.enumerator();
   util::Json expected = util::Json::array();  // empty transmission
   const auto report =
-      engine.run(*enumerator, fx.events, {query_result_equals(6, expected)});
+      run_replay(fx, options, *enumerator, {query_result_equals(6, expected)});
   EXPECT_TRUE(report.exhausted);
   EXPECT_EQ(report.explored, 120u);  // 5 units
   EXPECT_GT(report.violations, 0u);  // the synced interleavings transmit {otb}
@@ -59,13 +71,12 @@ TEST(ReplayEngine, ExploresWholeUniverseWithoutStopOnViolation) {
 TEST(ReplayEngine, StopsAtFirstViolation) {
   Fixture fx;
   ReplayOptions options;
-  ReplayEngine engine(fx.proxy, options);
   auto enumerator = fx.enumerator();
   // identity order transmits {} (otb resolved); expecting {otb} violates later
   util::Json expected = util::Json::array();
   expected.push_back("otb");
   const auto report =
-      engine.run(*enumerator, fx.events, {query_result_equals(6, expected)});
+      run_replay(fx, options, *enumerator, {query_result_equals(6, expected)});
   ASSERT_TRUE(report.reproduced);
   EXPECT_EQ(report.violations, 1u);
   EXPECT_EQ(report.first_violation_index, 1u);  // identity itself violates here
@@ -86,9 +97,8 @@ TEST(ReplayEngine, EachInterleavingStartsFromInitialState) {
     const auto state = fx.town.replica_state(0);
     if (state["problems"].size() > 1) state_leak = true;
   };
-  ReplayEngine engine(fx.proxy, options);
   auto enumerator = fx.enumerator();
-  engine.run(*enumerator, fx.events, {});
+  run_replay(fx, options, *enumerator, {});
   EXPECT_FALSE(state_leak);
 }
 
@@ -97,9 +107,8 @@ TEST(ReplayEngine, HonorsInterleavingCap) {
   ReplayOptions options;
   options.max_interleavings = 7;
   options.stop_on_violation = false;
-  ReplayEngine engine(fx.proxy, options);
   auto enumerator = fx.enumerator();
-  const auto report = engine.run(*enumerator, fx.events, {});
+  const auto report = run_replay(fx, options, *enumerator, {});
   EXPECT_EQ(report.explored, 7u);
   EXPECT_TRUE(report.hit_cap);
   EXPECT_FALSE(report.exhausted);
@@ -110,9 +119,8 @@ TEST(ReplayEngine, CrashesWhenResourceBudgetExceeded) {
   ReplayOptions options;
   options.stop_on_violation = false;
   options.resource_budget_bytes = 600;  // a handful of explored-log entries
-  ReplayEngine engine(fx.proxy, options);
   auto enumerator = fx.enumerator();
-  const auto report = engine.run(*enumerator, fx.events, {});
+  const auto report = run_replay(fx, options, *enumerator, {});
   EXPECT_TRUE(report.crashed);
   EXPECT_LT(report.explored, 120u);
 }
@@ -122,11 +130,10 @@ TEST(ReplayEngine, ThreadedModeMatchesFastMode) {
   ReplayOptions fast_options;
   fast_options.stop_on_violation = false;
   fast_options.max_interleavings = 24;
-  ReplayEngine fast_engine(fast_fx.proxy, fast_options);
   auto fast_enum = fast_fx.enumerator();
   util::Json expected = util::Json::array();
   const auto fast_report =
-      fast_engine.run(*fast_enum, fast_fx.events, {query_result_equals(6, expected)});
+      run_replay(fast_fx, fast_options, *fast_enum, {query_result_equals(6, expected)});
 
   Fixture threaded_fx;
   kv::Server lock_server;
@@ -135,10 +142,9 @@ TEST(ReplayEngine, ThreadedModeMatchesFastMode) {
   threaded_options.max_interleavings = 24;
   threaded_options.threaded = true;
   threaded_options.lock_server = &lock_server;
-  ReplayEngine threaded_engine(threaded_fx.proxy, threaded_options);
   auto threaded_enum = threaded_fx.enumerator();
-  const auto threaded_report = threaded_engine.run(*threaded_enum, threaded_fx.events,
-                                                   {query_result_equals(6, expected)});
+  const auto threaded_report = run_replay(threaded_fx, threaded_options, *threaded_enum,
+                                          {query_result_equals(6, expected)});
 
   EXPECT_EQ(fast_report.explored, threaded_report.explored);
   EXPECT_EQ(fast_report.violations, threaded_report.violations);
@@ -147,12 +153,11 @@ TEST(ReplayEngine, ThreadedModeMatchesFastMode) {
 TEST(ReplayReport, JsonSerialization) {
   Fixture fx;
   ReplayOptions options;
-  ReplayEngine engine(fx.proxy, options);
   auto enumerator = fx.enumerator();
   util::Json expected = util::Json::array();
   expected.push_back("otb");
   const auto report =
-      engine.run(*enumerator, fx.events, {query_result_equals(6, expected)});
+      run_replay(fx, options, *enumerator, {query_result_equals(6, expected)});
   const auto j = report.to_json();
   EXPECT_EQ(j["reproduced"].as_bool(), report.reproduced);
   EXPECT_EQ(j["explored"].as_int(), static_cast<int64_t>(report.explored));

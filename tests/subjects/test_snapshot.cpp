@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,10 @@ struct SnapshotCase {
   /// Second phase: consumes the pending sync and mutates further.
   std::function<void(SubjectBase&)> phase2;
 };
+
+/// Names the parameter by its case name, so test names do not depend on the
+/// case's raw bytes (which hold pointers).
+void PrintTo(const SnapshotCase& c, std::ostream* os) { *os << c.name; }
 
 void must(util::Result<util::Json> r) { ASSERT_TRUE(r.has_value()) << r.error().message; }
 
